@@ -4,13 +4,17 @@ Layout mirrors MISCELA's four steps (paper §2.2):
 
 1. :mod:`repro.core.segmentation` — linear segmentation noise filter.
 2. :mod:`repro.core.evolving`     — evolving-timestamp extraction (ε).
-3. :mod:`repro.core.spatial` + :mod:`repro.core.components` — η-neighbor
-   graph and spatially connected sensor sets.
+3. :mod:`repro.core.spatial` + :mod:`repro.core.coevolution` — η-neighbor
+   graph and the pairwise supports that keep only co-evolving edges;
+   :mod:`repro.core.components` — spatially connected sensor sets
+   (union-find over those edges, on the driver).
 4. :mod:`repro.core.search`       — per-component CAP search with
    anti-monotone support pruning.
 
-:mod:`repro.core.miscela` wires the steps into one DataFrame pipeline;
-:mod:`repro.core.baseline` is the unpruned comparator used by Table 4.
+:mod:`repro.core.miscela` wires the steps into :func:`mine_caps`, the one
+mining entry point: steps 1–3 in Spark, components and search on the
+driver. Its ``prune_support`` / ``naive_spatial`` switches give Table 4's
+unpruned comparators.
 """
 from repro.core.types import CAP, MiscelaParams  # noqa: F401
 from repro.core.miscela import mine_caps  # noqa: F401

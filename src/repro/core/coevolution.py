@@ -6,8 +6,7 @@ self-join of the evolving-timestamp relation on ``t`` restricted to the
 η-neighbor pairs — a pure Catalyst dataflow that (a) prunes the search:
 an edge whose pairwise support is < ψ can never appear inside a CAP
 (anti-monotonicity), and (b) directly powers Table 5 (east–west vs
-north–south pair supports) and the "click a sensor → highlight
-correlated sensors" view.
+north–south pair supports).
 """
 from __future__ import annotations
 
@@ -62,17 +61,3 @@ def coevolving_edges(
         F.col("support") >= int(psi)
     )
 
-
-def correlated_with(pair_support_df: DataFrame, sensor_id: str, psi: int) -> DataFrame:
-    """Sensors correlated with ``sensor_id`` at support ≥ ψ — backs the
-    demo's "click a sensor in the map → highlight correlated sensors"
-    interaction (paper §3.1). Returns ``(sensor_id, support)``."""
-    s = F.lit(sensor_id)
-    return (
-        pair_support_df.where((F.col("src") == s) | (F.col("dst") == s))
-        .where(F.col("support") >= int(psi))
-        .select(
-            F.when(F.col("src") == s, F.col("dst")).otherwise(F.col("src")).alias("sensor_id"),
-            "support",
-        )
-    )

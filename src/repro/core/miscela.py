@@ -1,17 +1,24 @@
 """MISCELA: the full 4-step CAP mining pipeline (paper §2.2).
 
-``mine_caps`` is the distributed entry point — pure DataFrame dataflow
-up to the per-component search, which runs on executors via cogrouped
-``applyInPandas`` (one task per spatially connected component).
-``mine_caps_local`` runs the identical kernel on the driver with full
-:class:`SearchStats` instrumentation for the efficiency comparison of
-Table 4; both paths share every stage, so tests pin them to each other.
+:func:`mine_caps` is the one mining entry point. Steps 1–3 run as
+DataFrame dataflow, because their input, the readings, scales with
+sensors × ticks: linear segmentation, evolving-timestamp extraction,
+the active-sensor filter, the η grid join and the pairwise supports.
+What step 4 needs scales with sensors only, so the driver collects it
+once — the co-evolving edge list and, for the sensors on it, their
+evolving timestamps split by direction and their attribute — labels
+the components by union-find (:mod:`repro.core.components`) and runs
+:func:`search_component` once per component (DESIGN.md §3).
 
 Components are computed over the *co-evolving* η-edges (pairwise
 support ≥ ψ), which is sound and complete: inside any valid CAP every
 pair's support is at least the CAP's support ≥ ψ, so the CAP's induced
 η-subgraph and induced co-evolving subgraph coincide — a CAP can never
 straddle two co-evolving components (DESIGN.md §3).
+
+Table 4's baselines are the same run with ``prune_support=False`` (no
+anti-monotone pruning) and ``naive_spatial=True`` (search the raw
+η-neighbor graph).
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.components import connected_components
+from repro.core.components import union_find
 from repro.core.coevolution import coevolving_edges
 from repro.core.evolving import active_sensors, extract_evolving
 from repro.core.search import search_component
@@ -31,20 +38,22 @@ from repro.core.spatial import neighbor_edges
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
 CAPS_SCHEMA = "component string, sensors string, attributes string, support long, size long"
+CAPS_COLUMNS = ["component", "sensors", "attributes", "support", "size"]
 
 
 @dataclass
 class MiningArtifacts:
-    """Intermediate relations of one mining run, exposed so the API
-    layer can answer the demo's interactive queries (correlated-sensor
-    highlight, time-series view) without recomputing."""
+    """Result of one mining run: the CAPs, the merged search
+    statistics, one wall time per stage, and the intermediate relations
+    as lazy DataFrames (Table 2 counts the co-evolving edges). Nothing
+    stays persisted, so reading a relation again recomputes it."""
 
     smoothed: DataFrame
     evolving: DataFrame
     edges: DataFrame
     coev_edges: DataFrame
-    components: DataFrame
     caps: DataFrame
+    stats: SearchStats
     timings: dict = field(default_factory=dict)
 
 
@@ -79,32 +88,33 @@ def rows_to_caps(rows) -> list[CAP]:
     return out
 
 
-def _prepare(
-    readings: DataFrame, locations: DataFrame, params: MiscelaParams
-) -> tuple[DataFrame, DataFrame, DataFrame, DataFrame, dict]:
-    """Steps 1–3 shared by both entry points.
-
-    Returns (smoothed, evolving, η-edges, co-evolving edges, timings).
-    Caches `evolving` — it feeds the pair-support join, the component
-    labeling, and the search payload.
-    """
-    timings: dict = {}
-    t0 = time.perf_counter()
-    smoothed = smooth_readings(readings, params.segment_tolerance)
-    evolving = extract_evolving(smoothed, params.epsilon).cache()
-    evolving.count()  # materialize once; three consumers follow
-    timings["segment_and_extract_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    active = active_sensors(evolving, params.psi)
-    live_locations = locations.join(active, on="sensor_id")
-    edges = neighbor_edges(live_locations, params.eta_meters).cache()
-    coev = coevolving_edges(
-        evolving, edges, params.psi, same_direction=params.same_direction
-    ).cache()
-    coev.count()
-    timings["spatial_join_s"] = time.perf_counter() - t0
-    return smoothed, evolving, edges, coev, timings
+def _sensor_sets(
+    evolving: DataFrame, locations: DataFrame, sensors: list[str]
+) -> tuple[dict[str, frozenset], dict[str, frozenset], dict[str, str]]:
+    """(increasing, decreasing evolving timestamps, attribute) of each
+    of ``sensors``, collected to the driver."""
+    if not sensors:
+        return {}, {}, {}
+    epos: dict[str, frozenset] = {}
+    eneg: dict[str, frozenset] = {}
+    for r in (
+        evolving.where(F.col("sensor_id").isin(sensors))
+        .groupBy("sensor_id")
+        .agg(
+            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
+            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
+        )
+        .collect()
+    ):
+        epos[r["sensor_id"]] = frozenset(r["p"])
+        eneg[r["sensor_id"]] = frozenset(r["m"])
+    attribute = {
+        r["sensor_id"]: r["attribute"]
+        for r in locations.where(F.col("sensor_id").isin(sensors))
+        .select("sensor_id", "attribute")
+        .collect()
+    }
+    return epos, eneg, attribute
 
 
 def mine_caps(
@@ -112,8 +122,10 @@ def mine_caps(
     readings: DataFrame,
     locations: DataFrame,
     params: MiscelaParams,
+    prune_support: bool = True,
+    naive_spatial: bool = False,
 ) -> MiningArtifacts:
-    """Distributed CAP mining.
+    """Mine every CAP of a dataset.
 
     Parameters
     ----------
@@ -122,169 +134,87 @@ def mine_caps(
         synchronized measurements (nulls allowed).
     locations:
         ``(sensor_id, attribute, lat, lon)`` — one row per sensor.
+    prune_support:
+        False runs the Table-4 baseline: the same enumeration without
+        anti-monotone support pruning.
+    naive_spatial:
+        True searches the raw η-neighbor graph instead of the
+        co-evolving edges (Table 4's fully naive miner). The CAPs are
+        the same; their component labels come from the η-graph.
 
-    The per-component search runs as a cogrouped ``applyInPandas`` over
-    (sensor payloads, co-evolving edges) keyed by component id.
+    ``timings`` holds one wall time per stage: ``segment_and_extract_s``,
+    ``spatial_join_s``, ``collect_s`` (the driver's gather of the search
+    inputs), ``search_s`` (components and the search) and
+    ``caps_frame_s`` (the CAP list into ``caps``).
     """
-    smoothed, evolving, edges, coev, timings = _prepare(readings, locations, params)
+    timings: dict = {}
+    t0 = time.perf_counter()
+    smoothed = smooth_readings(readings, params.segment_tolerance)
+    # cached only while this run is open: the active filter, both sides
+    # of the pair-support self-join and the gather below read it
+    evolving = extract_evolving(smoothed, params.epsilon).cache()
+    try:
+        evolving.count()
+        timings["segment_and_extract_s"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        active = active_sensors(evolving, params.psi)
+        edges = neighbor_edges(locations.join(active, on="sensor_id"), params.eta_meters)
+        coev = coevolving_edges(
+            evolving, edges, params.psi, same_direction=params.same_direction
+        )
+        search_edges = [
+            (r["src"], r["dst"])
+            for r in (edges if naive_spatial else coev).select("src", "dst").collect()
+        ]
+        timings["spatial_join_s"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        nodes = sorted({s for edge in search_edges for s in edge})
+        epos, eneg, attribute = _sensor_sets(evolving, locations, nodes)
+        timings["collect_s"] = time.perf_counter() - t0
+    finally:
+        evolving.unpersist()
 
     t0 = time.perf_counter()
-    nodes = (
-        coev.select(F.col("src").alias("sensor_id"))
-        .union(coev.select(F.col("dst").alias("sensor_id")))
-        .distinct()
-    )
-    components = connected_components(nodes, coev).cache()
-
-    # Per-sensor search payload: attribute + evolving timestamps split
-    # by direction, tagged with the component id.
-    payload = (
-        evolving.groupBy("sensor_id")
-        .agg(
-            F.sort_array(
-                F.collect_list(F.when(F.col("direction") == 1, F.col("t")))
-            ).alias("epos"),
-            F.sort_array(
-                F.collect_list(F.when(F.col("direction") == -1, F.col("t")))
-            ).alias("eneg"),
+    labels = union_find(nodes, search_edges)
+    adjacency: dict[str, set] = {}
+    for a, b in search_edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    groups: dict[str, list[str]] = {}
+    for s, comp in labels.items():
+        groups.setdefault(comp, []).append(s)
+    caps: list[CAP] = []
+    stats = SearchStats()
+    for comp, members in sorted(groups.items()):
+        found, comp_stats = search_component(
+            {s: attribute[s] for s in members},
+            adjacency,
+            epos,
+            eneg,
+            params,
+            component=comp,
+            prune_support=prune_support,
         )
-        .join(locations.select("sensor_id", "attribute"), on="sensor_id")
-        .join(components, on="sensor_id")
-    )
-    # toDF re-aliases every column (fresh exprIds) so the cogroup below
-    # does not trip Catalyst's ambiguous-self-join check — both cogroup
-    # sides descend from `components`.
-    comp_edges = coev.join(
-        components.toDF("src", "component"), on="src"
-    ).select("component", "src", "dst")
-
-    params_dict = {
-        "epsilon": params.epsilon,
-        "eta_meters": params.eta_meters,
-        "mu": params.mu,
-        "psi": params.psi,
-        "segment_tolerance": params.segment_tolerance,
-        "max_sensors": params.max_sensors,
-        "same_direction": params.same_direction,
-    }
-
-    def _search(key, sensors_pdf: pd.DataFrame, edges_pdf: pd.DataFrame) -> pd.DataFrame:
-        p = MiscelaParams(**params_dict)
-        attributes = dict(zip(sensors_pdf["sensor_id"], sensors_pdf["attribute"]))
-        epos = {
-            s: frozenset(int(t) for t in ts)
-            for s, ts in zip(sensors_pdf["sensor_id"], sensors_pdf["epos"])
-        }
-        eneg = {
-            s: frozenset(int(t) for t in ts)
-            for s, ts in zip(sensors_pdf["sensor_id"], sensors_pdf["eneg"])
-        }
-        adjacency: dict[str, set] = {s: set() for s in attributes}
-        for src, dst in zip(edges_pdf["src"], edges_pdf["dst"]):
-            adjacency.setdefault(src, set()).add(dst)
-            adjacency.setdefault(dst, set()).add(src)
-        caps, _ = search_component(
-            attributes, adjacency, epos, eneg, p, component=str(key[0])
-        )
-        return pd.DataFrame(
-            caps_to_rows(caps),
-            columns=["component", "sensors", "attributes", "support", "size"],
-        )
-
-    caps_df = (
-        payload.groupBy("component")
-        .cogroup(comp_edges.groupBy("component"))
-        .applyInPandas(_search, schema=CAPS_SCHEMA)
-    ).cache()
-    caps_df.count()
+        caps.extend(found)
+        stats.merge(comp_stats)
     timings["search_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # from pandas, so that with Arrow on the frame is a local relation:
+    # collecting it back runs no Spark job
+    caps_df = spark.createDataFrame(
+        pd.DataFrame(caps_to_rows(caps), columns=CAPS_COLUMNS), CAPS_SCHEMA
+    )
+    timings["caps_frame_s"] = time.perf_counter() - t0
 
     return MiningArtifacts(
         smoothed=smoothed,
         evolving=evolving,
         edges=edges,
         coev_edges=coev,
-        components=components,
         caps=caps_df,
+        stats=stats,
         timings=timings,
     )
-
-
-def mine_caps_local(
-    spark: SparkSession,
-    readings: DataFrame,
-    locations: DataFrame,
-    params: MiscelaParams,
-    prune_support: bool = True,
-    eta_adjacency_for_baseline: bool = False,
-) -> tuple[list[CAP], SearchStats, dict]:
-    """Steps 1–3 distributed, step 4 on the driver with instrumentation.
-
-    ``prune_support=False`` runs the Table-4 baseline (no anti-monotone
-    pruning); with ``eta_adjacency_for_baseline=True`` the baseline also
-    skips the co-evolving-edge restriction, i.e. it searches the raw
-    η-neighbor graph — the fully naive comparator.
-    """
-    smoothed, evolving, edges, coev, timings = _prepare(readings, locations, params)
-    search_edges = edges if eta_adjacency_for_baseline else coev
-
-    t0 = time.perf_counter()  # collect phase — reported separately so
-    epos: dict[str, frozenset] = {}  # search_s isolates the kernel
-    eneg: dict[str, frozenset] = {}
-    for row in (
-        evolving.groupBy("sensor_id")
-        .agg(
-            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
-            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
-        )
-        .collect()
-    ):
-        epos[row["sensor_id"]] = frozenset(int(t) for t in row["p"])
-        eneg[row["sensor_id"]] = frozenset(int(t) for t in row["m"])
-    attr = {
-        r["sensor_id"]: r["attribute"]
-        for r in locations.select("sensor_id", "attribute").collect()
-    }
-
-    adjacency: dict[str, set] = {}
-    for r in search_edges.select("src", "dst").collect():
-        adjacency.setdefault(r["src"], set()).add(r["dst"])
-        adjacency.setdefault(r["dst"], set()).add(r["src"])
-
-    # Driver-side union-find over the collected edges (small: one entry
-    # per sensor, not per reading).
-    parent: dict[str, str] = {s: s for s in adjacency}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, nbrs in adjacency.items():
-        for w in nbrs:
-            ra, rb = find(s), find(w)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[str, list[str]] = {}
-    for s in adjacency:
-        groups.setdefault(find(s), []).append(s)
-    timings["collect_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    all_caps: list[CAP] = []
-    total = SearchStats()
-    for comp_id, members in sorted(groups.items()):
-        caps, stats = search_component(
-            {s: attr[s] for s in members if s in attr},
-            {s: adjacency.get(s, set()) for s in members},
-            {s: epos.get(s, frozenset()) for s in members},
-            {s: eneg.get(s, frozenset()) for s in members},
-            params,
-            component=comp_id,
-            prune_support=prune_support,
-        )
-        all_caps.extend(caps)
-        total.merge(stats)
-    timings["search_s"] = time.perf_counter() - t0
-    return all_caps, total, timings

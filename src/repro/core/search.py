@@ -18,8 +18,8 @@ because support and attribute count are monotone along every path:
   μ attributes kills its subtree.
 
 The kernel :func:`search_component` is pure Python over frozensets of
-timestamps; the distributed path in :mod:`repro.core.miscela` ships it
-to executors per spatial component via cogrouped ``applyInPandas``.
+timestamps; :func:`repro.core.miscela.mine_caps` calls it on the driver
+once per spatial component.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from pyspark.sql import SparkSession
 
 from repro.core.miscela import mine_caps, rows_to_caps
-from repro.core.types import CAP, MiscelaParams
+from repro.core.types import CAP, MiscelaParams, SearchStats
 from repro.smartcity.ingest import upload_csv_bundle
 from repro.store.cache import CapCache
 from repro.store.datasets import DatasetStore
@@ -39,6 +39,7 @@ class MineResponse:
     from_cache: bool
     elapsed_s: float
     timings: dict = field(default_factory=dict)
+    stats: SearchStats | None = None  # None when served from the cache
 
     @property
     def n_caps(self) -> int:
@@ -83,7 +84,7 @@ class MiscelaApi:
         return MineResponse(
             dataset=dataset, params=params, caps=caps,
             from_cache=False, elapsed_s=time.perf_counter() - t0,
-            timings=artifacts.timings,
+            timings=artifacts.timings, stats=artifacts.stats,
         )
 
     # ---- map interaction --------------------------------------------

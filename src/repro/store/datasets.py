@@ -8,6 +8,7 @@ from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.smartcity.schema import LOCATIONS_SCHEMA, READINGS_SCHEMA
 from repro.store.docstore import DocumentStore
 
 
@@ -51,8 +52,10 @@ class DatasetStore:
         if doc is None:
             raise KeyError(f"dataset {name!r} not uploaded")
         base = self.root / "data" / name
+        # the §3.2 schemas are fixed: reading them from the parquet
+        # footers would cost a Spark job per relation on every load
         return (
-            spark.read.parquet(str(base / "readings")),
-            spark.read.parquet(str(base / "locations")),
+            spark.read.schema(READINGS_SCHEMA).parquet(str(base / "readings")),
+            spark.read.schema(LOCATIONS_SCHEMA).parquet(str(base / "locations")),
             doc,
         )

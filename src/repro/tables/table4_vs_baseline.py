@@ -20,8 +20,7 @@ import dataclasses
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.baseline import mine_caps_baseline
-from repro.core.miscela import mine_caps_local
+from repro.core.miscela import mine_caps
 from repro.core.types import MiscelaParams
 from repro.smartcity import santander
 
@@ -32,6 +31,10 @@ from repro.smartcity import santander
 BASE = MiscelaParams(
     epsilon=0.05, eta_meters=2000.0, mu=3, psi=8, segment_tolerance=0.02, max_sensors=5
 )
+
+
+def _cap_keys(rows) -> set[tuple[str, int]]:
+    return {(r["sensors"], r["support"]) for r in rows}
 
 
 def run(
@@ -46,27 +49,26 @@ def run(
     rows = []
     for psi in psis:
         p = dataclasses.replace(BASE, psi=psi)
-        fast, s_fast, t_fast = mine_caps_local(spark, readings, locations, p)
-        slow, s_slow, t_slow = mine_caps_baseline(spark, readings, locations, p)
-        naive, s_naive, t_naive = mine_caps_baseline(
-            spark, readings, locations, p, naive_spatial=True
+        fast = mine_caps(spark, readings, locations, p)
+        slow = mine_caps(spark, readings, locations, p, prune_support=False)
+        naive = mine_caps(
+            spark, readings, locations, p, prune_support=False, naive_spatial=True
         )
-        assert {(c.sensors, c.support) for c in fast} \
-            == {(c.sensors, c.support) for c in slow} \
-            == {(c.sensors, c.support) for c in naive}
+        fast_caps = fast.caps.collect()
+        assert _cap_keys(fast_caps) == _cap_keys(slow.caps.collect()) \
+            == _cap_keys(naive.caps.collect())
+        t_fast, t_naive = fast.timings["search_s"], naive.timings["search_s"]
         rows.append(
             {
                 "psi": psi,
-                "n_caps": len(fast),
-                "miscela_search_s": round(t_fast["search_s"], 3),
-                "noprune_search_s": round(t_slow["search_s"], 3),
-                "naive_search_s": round(t_naive["search_s"], 3),
-                "miscela_nodes": s_fast.nodes_expanded,
-                "noprune_nodes": s_slow.nodes_expanded,
-                "naive_nodes": s_naive.nodes_expanded,
-                "speedup_vs_naive": round(
-                    t_naive["search_s"] / max(t_fast["search_s"], 1e-9), 1
-                ),
+                "n_caps": len(fast_caps),
+                "miscela_search_s": round(t_fast, 3),
+                "noprune_search_s": round(slow.timings["search_s"], 3),
+                "naive_search_s": round(t_naive, 3),
+                "miscela_nodes": fast.stats.nodes_expanded,
+                "noprune_nodes": slow.stats.nodes_expanded,
+                "naive_nodes": naive.stats.nodes_expanded,
+                "speedup_vs_naive": round(t_naive / max(t_fast, 1e-9), 1),
             }
         )
     readings.unpersist()

@@ -89,20 +89,24 @@ def ref_neighbor_edges(locations_pdf: pd.DataFrame, eta_meters: float) -> set[tu
 
 
 def ref_components(sensors: list[str], edges: set[tuple[str, str]]) -> dict[str, str]:
-    """Union-find reference for the label-propagation components."""
-    parent = {s: s for s in sensors}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Flood-fill reference for the union-find components: each sensor
+    is labeled with the smallest sensor reachable from it."""
+    adj: dict[str, set[str]] = {s: set() for s in sensors}
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {s: find(s) for s in sensors}
+        adj[a].add(b)
+        adj[b].add(a)
+    out: dict[str, str] = {}
+    for s in sorted(sensors):
+        if s in out:
+            continue
+        todo, seen = [s], {s}
+        while todo:
+            for w in adj[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        for w in seen:
+            out[w] = s  # s is the smallest: sensors are visited in order
+    return out
 
 
 def ref_evolving(readings_pdf: pd.DataFrame, tolerance: float, epsilon: float) -> pd.DataFrame:

@@ -61,6 +61,34 @@ class TestMineEndpoint:
         with pytest.raises(KeyError):
             api.mine("ghost", PARAMS)
 
+    def test_search_stats_reported_on_a_miss_only(self, api):
+        api.cache.invalidate("scene", PARAMS)
+        miss = api.mine("scene", PARAMS)
+        assert miss.stats is not None and miss.stats.emitted == miss.n_caps
+        assert api.mine("scene", PARAMS).stats is None
+
+    def test_truncation_by_max_sensors_is_reported(self, api):
+        # cluster A is a triangle: every pair could still grow by one
+        r = api.mine("scene", dataclasses.replace(PARAMS, max_sensors=2))
+        assert r.stats.hit_max_sensors > 0
+        assert all(c.size <= 2 for c in r.caps)
+
+    def test_timings_are_flat_seconds(self, api):
+        r = api.mine("scene", dataclasses.replace(PARAMS, mu=2))
+        assert set(r.timings) >= {"segment_and_extract_s", "spatial_join_s", "search_s"}
+        assert all(isinstance(v, float) and v >= 0 for v in r.timings.values())
+
+
+class TestSparkStorage:
+    def test_cold_mines_leave_nothing_persisted(self, api, spark):
+        jsc = spark.sparkContext._jsc
+        before = len(jsc.getPersistentRDDs())
+        for psi in (2, 3):
+            params = dataclasses.replace(PARAMS, psi=psi, max_sensors=4)
+            api.cache.invalidate("scene", params)
+            assert api.mine("scene", params).from_cache is False
+        assert len(jsc.getPersistentRDDs()) == before
+
 
 class TestCorrelatedSensors:
     def test_click_a1_highlights_cluster(self, api):

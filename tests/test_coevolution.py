@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.coevolution import coevolving_edges, correlated_with, pair_supports
+from repro.core.coevolution import coevolving_edges, pair_supports
 from repro.core.evolving import extract_evolving
 from repro.core.segmentation import smooth_readings
 from repro.core.spatial import neighbor_edges
@@ -93,22 +93,3 @@ class TestCoevolvingEdges:
         ev, edges, _ = scene
         got = {(r["src"], r["dst"]) for r in coevolving_edges(ev, edges, psi).collect()}
         assert got == expected_pairs
-
-
-class TestCorrelatedWith:
-    def test_click_a1(self, spark, scene):
-        ev, edges, _ = scene
-        ps = pair_supports(ev, edges)
-        got = {r["sensor_id"]: r["support"] for r in correlated_with(ps, "a1", psi=3).collect()}
-        assert got == {"a2": 4, "a3": 4}
-
-    def test_click_isolated_sensor(self, spark, scene):
-        ev, edges, _ = scene
-        ps = pair_supports(ev, edges)
-        assert correlated_with(ps, "c1", psi=1).count() == 0
-
-    def test_symmetric_view(self, spark, scene):
-        ev, edges, _ = scene
-        ps = pair_supports(ev, edges)
-        from_a2 = {r["sensor_id"] for r in correlated_with(ps, "a2", psi=3).collect()}
-        assert from_a2 == {"a1", "a3"}

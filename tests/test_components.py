@@ -1,19 +1,21 @@
-"""Unit tests for step 3b (connected components by label propagation)
-against a union-find reference."""
+"""Unit tests for step 3b (connected components by union-find) against
+a flood-fill reference, both on plain Python and through the DataFrame
+wrapper."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.components import connected_components
+from repro.core.components import connected_components, union_find
 from tests.helpers import ref_components
 
 
-def _run(spark, sensors, edges, **kw):
+def _run(spark, sensors, edges):
     sdf = spark.createDataFrame(pd.DataFrame({"sensor_id": sensors}), "sensor_id string")
     edf = spark.createDataFrame(
         pd.DataFrame(list(edges) or [], columns=["src", "dst"]), "src string, dst string"
     )
-    out = connected_components(sdf, edf, **kw)
+    out = connected_components(sdf, edf)
+    assert out.columns == ["sensor_id", "component"]
     return {r["sensor_id"]: r["component"] for r in out.collect()}
 
 
@@ -28,7 +30,6 @@ class TestConnectedComponents:
         assert got["lone"] == "lone" and got["a"] == got["b"] == "a"
 
     def test_long_chain(self, spark):
-        # diameter > 1 forces several propagation rounds
         sensors = [f"n{i:02d}" for i in range(12)]
         edges = {(sensors[i], sensors[i + 1]) for i in range(11)}
         got = _run(spark, sensors, edges)
@@ -57,8 +58,20 @@ class TestConnectedComponents:
         got = _run(spark, ["z", "m", "a"], {("z", "m"), ("m", "a")})
         assert set(got.values()) == {"a"}
 
-    def test_raises_when_iteration_cap_too_low(self, spark):
-        sensors = [f"n{i:02d}" for i in range(10)]
-        edges = {(sensors[i], sensors[i + 1]) for i in range(9)}
-        with pytest.raises(RuntimeError, match="did not converge"):
-            _run(spark, sensors, edges, max_iterations=1)
+
+class TestUnionFind:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs_match_flood_fill(self, seed):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 60))
+        sensors = [f"s{i:02d}" for i in g.permutation(n)]
+        edges = {
+            (sensors[i], sensors[j])
+            for i in range(n) for j in range(n) if i != j and g.random() < 1.5 / n
+        }
+        assert union_find(sensors, edges) == ref_components(sensors, edges)
+
+    def test_edge_endpoints_join_the_nodes(self):
+        assert union_find((), [("b", "c"), ("c", "a"), ("x", "y")]) == {
+            "a": "a", "b": "a", "c": "a", "x": "x", "y": "x"
+        }

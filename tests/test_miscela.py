@@ -1,20 +1,20 @@
-"""Integration tests: the full 4-step pipeline, distributed vs local vs
-baseline agreement, and the planted-pattern ground truth of the scene."""
+"""Integration tests: the full 4-step pipeline, its agreement with the
+brute-force search and the unpruned baselines, and the planted-pattern
+ground truth of the scene."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.baseline import mine_caps_baseline
-from repro.core.miscela import (
-    CAPS_SCHEMA,
-    caps_to_rows,
-    mine_caps,
-    mine_caps_local,
-    rows_to_caps,
-)
+from repro.core.miscela import caps_to_rows, mine_caps, rows_to_caps
+from repro.core.search import brute_force_caps
 from repro.core.types import CAP, MiscelaParams
 from repro.oracle import assert_equivalent
-from tests.helpers import scene_spark
+from tests.helpers import (
+    ref_neighbor_edges,
+    scene_locations_pdf,
+    scene_readings_pdf,
+    scene_spark,
+)
 
 PARAMS = MiscelaParams(epsilon=0.1, eta_meters=500.0, mu=3, psi=3,
                        segment_tolerance=0.0, max_sensors=5)
@@ -83,27 +83,42 @@ class TestDistributedPipeline:
 
 
 class TestLocalAndBaselineAgree:
-    def test_local_matches_distributed(self, spark, scene_mined):
-        readings, locations = scene_spark(spark)
-        local, stats, _ = mine_caps_local(spark, readings, locations, PARAMS)
-        assert _cap_set(local) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
-        assert stats.emitted == len(local)
+    def test_matches_brute_force(self, spark, scene_mined):
+        # the exhaustive search over the whole scene, fed straight from
+        # the test fixture, knows nothing of components or pruning
+        loc = scene_locations_pdf()
+        attributes = dict(zip(loc["sensor_id"], loc["attribute"]))
+        epos, eneg = {}, {}
+        for s, g in scene_readings_pdf().sort_values("t").groupby("sensor_id"):
+            diff = g["value"].diff()
+            epos[s] = frozenset(g["t"][diff > PARAMS.epsilon])
+            eneg[s] = frozenset(g["t"][diff < -PARAMS.epsilon])
+        adjacency = {s: set() for s in attributes}
+        for a, b in ref_neighbor_edges(loc, PARAMS.eta_meters):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        want = brute_force_caps(attributes, adjacency, epos, eneg, PARAMS)
+        assert _cap_set(rows_to_caps(scene_mined.caps.collect())) == _cap_set(want)
+        assert scene_mined.stats.emitted == len(want)
 
     def test_baseline_matches_miscela(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        base, _, _ = mine_caps_baseline(spark, readings, locations, PARAMS)
-        assert _cap_set(base) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
+        base = mine_caps(spark, readings, locations, PARAMS, prune_support=False)
+        assert _cap_set(rows_to_caps(base.caps.collect())) \
+            == _cap_set(rows_to_caps(scene_mined.caps.collect()))
 
     def test_naive_spatial_baseline_matches_too(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        base, _, _ = mine_caps_baseline(spark, readings, locations, PARAMS, naive_spatial=True)
-        assert _cap_set(base) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
+        base = mine_caps(spark, readings, locations, PARAMS,
+                         prune_support=False, naive_spatial=True)
+        assert _cap_set(rows_to_caps(base.caps.collect())) \
+            == _cap_set(rows_to_caps(scene_mined.caps.collect()))
 
-    def test_miscela_never_does_more_support_work(self, spark):
+    def test_miscela_never_does_more_support_work(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        _, s_fast, _ = mine_caps_local(spark, readings, locations, PARAMS)
-        _, s_slow, _ = mine_caps_baseline(spark, readings, locations, PARAMS, naive_spatial=True)
-        assert s_fast.nodes_expanded <= s_slow.nodes_expanded
+        naive = mine_caps(spark, readings, locations, PARAMS,
+                          prune_support=False, naive_spatial=True)
+        assert scene_mined.stats.nodes_expanded <= naive.stats.nodes_expanded
 
 
 class TestRowConversion:
