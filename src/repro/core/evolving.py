@@ -13,8 +13,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-EVOLVING_COLUMNS = ("sensor_id", "t", "direction")
-
 
 def extract_evolving(smoothed: DataFrame, epsilon: float) -> DataFrame:
     """Evolving timestamps of every sensor.

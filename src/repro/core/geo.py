@@ -1,14 +1,9 @@
-"""Geodesic helpers shared by the spatial join and the generators.
-
-Everything is vectorized numpy plus Spark `Column` variants of the same
-formulas, so the driver-side reference implementation used in tests and
-the distributed implementation cannot drift apart silently.
+"""Geodesic helpers shared by the η-neighbor graph, the generators and
+the test oracles, as vectorized numpy on a spherical Earth.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -24,16 +19,6 @@ def haversine_np(
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def haversine_col(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
-    """Great-circle distance in meters as a Spark Column expression."""
-    p1, p2 = F.radians(lat1), F.radians(lat2)
-    dp = p2 - p1
-    dl = F.radians(lon2) - F.radians(lon1)
-    a = F.pow(F.sin(dp / 2.0), 2) + F.cos(p1) * F.cos(p2) * F.pow(F.sin(dl / 2.0), 2)
-    # clip guards rounding just past 1.0 for antipodal-ish inputs
-    return 2.0 * EARTH_RADIUS_M * F.asin(F.sqrt(F.least(a, F.lit(1.0))))
-
-
 def meters_to_lat_degrees(meters: float) -> float:
     """Degrees of latitude spanning ``meters`` (latitude-independent)."""
     return meters / (EARTH_RADIUS_M * np.pi / 180.0)
@@ -42,9 +27,8 @@ def meters_to_lat_degrees(meters: float) -> float:
 def meters_to_lon_degrees(meters: float, at_latitude: float) -> float:
     """Degrees of longitude spanning ``meters`` at a given latitude.
 
-    Used for grid-cell widths; callers should use the *smallest*
-    |latitude| in the data so cells are never narrower than η.
+    The generators use it to space stations a fixed distance apart.
     """
     scale = np.cos(np.radians(at_latitude))
-    scale = max(scale, 1e-6)  # degenerate near the poles; cells just widen
+    scale = max(scale, 1e-6)  # degenerate near the poles
     return meters / (EARTH_RADIUS_M * np.pi / 180.0 * scale)

@@ -3,7 +3,9 @@
 :func:`mine_caps` is the one mining entry point. Steps 1–3 run as
 DataFrame dataflow, because their input, the readings, scales with
 sensors × ticks: linear segmentation, evolving-timestamp extraction,
-the active-sensor filter, the η grid join and the pairwise supports.
+the active-sensor filter and the pairwise supports. The η-neighbor
+graph, whose input has one row per sensor, is built on the driver by
+:func:`repro.core.spatial.neighbor_edges`.
 What step 4 needs scales with sensors only, so the driver collects it
 once — the co-evolving edge list and, for the sensors on it, their
 evolving timestamps split by direction and their attribute — labels

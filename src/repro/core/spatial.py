@@ -1,21 +1,21 @@
 """Step 3a of MISCELA: the η-neighbor graph (paper §2.1 "distance
 threshold η").
 
-Two sensors are neighbors iff their haversine distance is below η.
-Rather than an O(n²) cross join, sensors are bucketed into grid cells of
-side ≥ η (in degrees, longitude width taken at the latitude closest to
-the equator so cells never shrink below η) and each sensor is joined
-against its 3×3 cell neighborhood, then filtered by exact haversine —
-the standard spatial-band-join idiom for Catalyst.
+Two sensors are neighbors iff their haversine distance is below η. The
+input has one row per sensor, so the graph is built on the driver with
+a latitude band sweep: sort the sensors by latitude and compare each
+one only with the sensors after it whose latitude is within η of its
+own. A great-circle distance is never shorter than the latitude
+difference, so the band misses no edge, and longitude plays no part in
+the band, so edges across the ±180° meridian are found like any other.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.geo import haversine_col, meters_to_lat_degrees, meters_to_lon_degrees
-
-LOCATION_COLUMNS = ("sensor_id", "attribute", "lat", "lon")
+from repro.core.geo import haversine_np, meters_to_lat_degrees
 
 
 def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
@@ -31,63 +31,36 @@ def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
     eta_meters:
         Distance threshold η; strict ``dist < η``.
     """
-    # Cell sizes from the latitude band of the data: use the latitude
-    # nearest the equator so a lon-cell is never narrower than η there.
-    row = locations.agg(
-        F.min(F.abs("lat")).alias("min_abs_lat"), F.count("*").alias("n")
-    ).first()
-    if row is None or row["n"] == 0:
-        return locations.sparkSession.createDataFrame(
-            [], "src string, dst string, dist_m double"
-        )
-    lat_cell = meters_to_lat_degrees(eta_meters)
-    lon_cell = meters_to_lon_degrees(eta_meters, at_latitude=float(row["min_abs_lat"]))
+    pdf = locations.select("sensor_id", "lat", "lon").toPandas().sort_values("lat")
+    ids = pdf["sensor_id"].to_numpy()
+    lat = pdf["lat"].to_numpy(dtype=float)
+    lon = pdf["lon"].to_numpy(dtype=float)
+    # the band is widened by a rounding margin; the exact distance
+    # test below decides every candidate
+    band = meters_to_lat_degrees(eta_meters) * (1.0 + 1e-9)
+    ends = np.searchsorted(lat, lat + band, side="right")
 
-    cells = locations.select(
-        F.col("sensor_id"),
-        F.col("lat"),
-        F.col("lon"),
-        F.floor(F.col("lat") / F.lit(lat_cell)).alias("cx"),
-        F.floor(F.col("lon") / F.lit(lon_cell)).alias("cy"),
-    )
-    # Explode left side into its 3×3 cell neighborhood; equi-join on the
-    # cell key so Catalyst plans a shuffle hash/sort-merge join, not a
-    # cartesian product.
-    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    probe = cells.select(
-        F.col("sensor_id").alias("src"),
-        F.col("lat").alias("src_lat"),
-        F.col("lon").alias("src_lon"),
-        F.explode(
-            F.array(
-                *[
-                    F.struct(
-                        (F.col("cx") + F.lit(dx)).alias("cx"),
-                        (F.col("cy") + F.lit(dy)).alias("cy"),
-                    )
-                    for dx, dy in offsets
-                ]
-            )
-        ).alias("cell"),
-    ).select("src", "src_lat", "src_lon", F.col("cell.cx").alias("cx"), F.col("cell.cy").alias("cy"))
-
-    build = cells.select(
-        F.col("sensor_id").alias("dst"),
-        F.col("lat").alias("dst_lat"),
-        F.col("lon").alias("dst_lon"),
-        "cx",
-        "cy",
-    )
-    return (
-        probe.join(build, on=["cx", "cy"])
-        .where(F.col("src") < F.col("dst"))
-        .withColumn(
-            "dist_m",
-            haversine_col(
-                F.col("src_lat"), F.col("src_lon"), F.col("dst_lat"), F.col("dst_lon")
-            ),
-        )
-        .where(F.col("dist_m") < F.lit(float(eta_meters)))
-        .select("src", "dst", "dist_m")
-        .dropDuplicates(["src", "dst"])
+    # each list starts empty-but-typed, so no sensors gives no edges
+    src, dst, dist = [ids[:0]], [ids[:0]], [lat[:0]]
+    for i, end in enumerate(ends):
+        later = slice(i + 1, end)
+        d = haversine_np(lat[i], lon[i], lat[later], lon[later])
+        # a sensor id listed twice must not pair with itself; the
+        # duplicate edges it gives are dropped below
+        keep = (d < eta_meters) & (ids[later] != ids[i])
+        src.append(np.repeat(ids[i : i + 1], keep.sum()))
+        dst.append(ids[later][keep])
+        dist.append(d[keep])
+    a, b = np.concatenate(src), np.concatenate(dst)
+    swap = a > b
+    edges = pd.DataFrame(
+        {
+            "src": np.where(swap, b, a),
+            "dst": np.where(swap, a, b),
+            "dist_m": np.concatenate(dist),
+        }
+    ).drop_duplicates(["src", "dst"])
+    # from pandas, so that with Arrow on the frame is a local relation
+    return locations.sparkSession.createDataFrame(
+        edges, "src string, dst string, dist_m double"
     )

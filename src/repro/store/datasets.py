@@ -4,12 +4,16 @@ the dataset name" (paper §3.2).
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.smartcity.schema import LOCATIONS_SCHEMA, READINGS_SCHEMA
 from repro.store.docstore import DocumentStore
+
+# a dataset name becomes a directory under data/ and a document id
+_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class DatasetStore:
@@ -23,6 +27,11 @@ class DatasetStore:
         self.root = Path(root)
         self.docs = DocumentStore(self.root / "docs")
 
+    def _base(self, name: str) -> Path:
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"bad dataset name: {name!r}")
+        return self.root / "data" / name
+
     def save(
         self,
         name: str,
@@ -31,7 +40,7 @@ class DatasetStore:
         attributes: list[str],
         meta: dict | None = None,
     ) -> None:
-        base = self.root / "data" / name
+        base = self._base(name)
         readings.write.mode("overwrite").parquet(str(base / "readings"))
         locations.write.mode("overwrite").parquet(str(base / "locations"))
         self.docs.insert(
@@ -47,11 +56,12 @@ class DatasetStore:
         return sorted(d["name"] for d in self.docs.find("datasets"))
 
     def load(self, spark: SparkSession, name: str) -> tuple[DataFrame, DataFrame, dict]:
-        """→ (readings, locations, metadata doc). Raises KeyError if absent."""
+        """→ (readings, locations, metadata doc). Raises KeyError if
+        absent and ValueError if ``name`` is not a valid dataset name."""
+        base = self._base(name)
         doc = self.docs.get("datasets", name)
         if doc is None:
             raise KeyError(f"dataset {name!r} not uploaded")
-        base = self.root / "data" / name
         # the §3.2 schemas are fixed: reading them from the parquet
         # footers would cost a Spark job per relation on every load
         return (

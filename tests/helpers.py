@@ -73,7 +73,7 @@ def scene_spark(spark):
 # ---- reference implementations (oracles) ----------------------------
 
 def ref_neighbor_edges(locations_pdf: pd.DataFrame, eta_meters: float) -> set[tuple[str, str]]:
-    """O(n²) haversine reference for the grid-cell spatial join."""
+    """O(n²) haversine reference for the η-neighbor band sweep."""
     out = set()
     rows = locations_pdf.to_dict("records")
     for i, r1 in enumerate(rows):

@@ -14,14 +14,19 @@ PARAMS = MiscelaParams(epsilon=0.1, eta_meters=500.0, mu=3, psi=3,
 
 
 @pytest.fixture(scope="module")
-def api(spark, tmp_path_factory):
-    root = tmp_path_factory.mktemp("apiroot")
+def bundle(tmp_path_factory):
     bundle = tmp_path_factory.mktemp("scene_bundle")
     attributes = sorted({a for _, a, _, _, _, _ in SCENE_SENSORS})
     write_csv_bundle(
         bundle, scene_readings_pdf(), scene_locations_pdf(), attributes,
         "2016-03-01 00:00:00", 60,
     )
+    return bundle
+
+
+@pytest.fixture(scope="module")
+def api(spark, tmp_path_factory, bundle):
+    root = tmp_path_factory.mktemp("apiroot")
     api = MiscelaApi(spark, root)
     api.upload("scene", bundle, chunk_lines=50)
     return api
@@ -33,6 +38,20 @@ class TestUploadEndpoint:
 
     def test_reupload_overwrites(self, api, spark, tmp_path_factory):
         assert api.store.exists("scene")
+
+
+class TestDatasetNames:
+    @pytest.mark.parametrize("bad", ["../x", "../../x", "a/b", ""])
+    def test_unsafe_name_rejected_and_nothing_written(self, spark, tmp_path, bundle, bad):
+        root = tmp_path / "store"
+        api = MiscelaApi(spark, root)
+        with pytest.raises(ValueError):
+            api.upload(bad, bundle, chunk_lines=50)
+        with pytest.raises(ValueError):
+            api.mine(bad, PARAMS)
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+        assert [p.name for p in root.iterdir()] == ["docs"]
+        assert api.datasets() == []
 
 
 class TestMineEndpoint:

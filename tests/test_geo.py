@@ -1,13 +1,10 @@
 """Unit tests for repro.core.geo: haversine correctness and the
-numpy-vs-Column agreement that keeps the spatial join honest."""
+meters-to-degrees conversions."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.geo import (
     EARTH_RADIUS_M,
-    haversine_col,
     haversine_np,
     meters_to_lat_degrees,
     meters_to_lon_degrees,
@@ -45,25 +42,6 @@ class TestHaversineNumpy:
         lats = np.array([0.0, 1.0, 2.0])
         d = haversine_np(lats, np.zeros(3), lats + 1.0, np.zeros(3))
         assert d.shape == (3,) and np.all(d > 0)
-
-
-class TestHaversineColumnAgreesWithNumpy:
-    def test_random_pairs(self, spark):
-        g = np.random.default_rng(0)
-        pdf = pd.DataFrame(
-            {
-                "lat1": g.uniform(-60, 60, 50), "lon1": g.uniform(-179, 179, 50),
-                "lat2": g.uniform(-60, 60, 50), "lon2": g.uniform(-179, 179, 50),
-            }
-        )
-        got = (
-            spark.createDataFrame(pdf)
-            .select(haversine_col(F.col("lat1"), F.col("lon1"), F.col("lat2"), F.col("lon2")).alias("d"))
-            .toPandas()["d"].to_numpy()
-        )
-        want = haversine_np(pdf["lat1"].to_numpy(), pdf["lon1"].to_numpy(),
-                            pdf["lat2"].to_numpy(), pdf["lon2"].to_numpy())
-        np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 class TestDegreeConversions:

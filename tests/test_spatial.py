@@ -1,11 +1,11 @@
-"""Unit tests for step 3a (η-neighbor grid-cell join) against the
-O(n²) haversine reference."""
+"""Unit tests for step 3a (the η-neighbor graph's latitude band sweep)
+against the O(n²) haversine reference."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.spatial import neighbor_edges
-from repro.core.geo import haversine_np
+from repro.core.geo import haversine_np, meters_to_lat_degrees, meters_to_lon_degrees
 from tests.helpers import ref_neighbor_edges, scene_locations_pdf
 
 LOC_SCHEMA = "sensor_id string, attribute string, lat double, lon double"
@@ -28,6 +28,36 @@ def _random_locations(seed: int, n: int, span_deg: float = 0.05,
     )
 
 
+def _station_grid(rows: int = 6, cols: int = 8, attributes: int = 3) -> pd.DataFrame:
+    """China6-style stations 60 km apart on an exact lat/lon grid, with
+    several co-located sensors per station: every sensor of a grid row
+    shares one latitude, so the sweep's sort is full of ties."""
+    dlat = meters_to_lat_degrees(60_000.0)
+    dlon = meters_to_lon_degrees(60_000.0, at_latitude=32.0)
+    return pd.DataFrame(
+        [
+            {"sensor_id": f"st{r}_{c}_{k}", "attribute": f"attr{k}",
+             "lat": 32.0 + r * dlat, "lon": 110.0 + c * dlon}
+            for r in range(rows) for c in range(cols) for k in range(attributes)
+        ]
+    )
+
+
+def _layout(layout) -> pd.DataFrame:
+    """A random 60-sensor layout for an int seed, else a named layout."""
+    if isinstance(layout, int):
+        return _random_locations(layout, 60)
+    if layout == "antimeridian":
+        # ~213 m apart across the ±180° meridian
+        return pd.DataFrame({"sensor_id": ["e", "w"], "attribute": ["a", "b"],
+                             "lat": [-17.0, -17.0], "lon": [179.999, -179.999]})
+    if layout == "station_grid":
+        return _station_grid()
+    if layout == "random300":
+        return _random_locations(7, 300)
+    raise ValueError(layout)
+
+
 class TestNeighborEdges:
     def test_scene_clusters(self, spark):
         loc = spark.createDataFrame(scene_locations_pdf(), LOC_SCHEMA)
@@ -40,9 +70,17 @@ class TestNeighborEdges:
         got = _edges_set(neighbor_edges(loc, 15_000.0))
         assert ("a1", "b1") in got and ("c1", "c1") not in {tuple(sorted(e)) for e in got}
 
-    @pytest.mark.parametrize("seed,eta", [(0, 500.0), (1, 1500.0), (2, 3000.0), (3, 800.0)])
-    def test_matches_bruteforce_reference(self, spark, seed, eta):
-        pdf = _random_locations(seed, 60)
+    @pytest.mark.parametrize(
+        "layout,eta",
+        [
+            (0, 500.0), (1, 1500.0), (2, 3000.0), (3, 800.0),
+            ("antimeridian", 1000.0),
+            ("station_grid", 70_000.0), ("station_grid", 90_000.0),
+            ("random300", 500.0), ("random300", 2000.0),
+        ],
+    )
+    def test_matches_bruteforce_reference(self, spark, layout, eta):
+        pdf = _layout(layout)
         got = _edges_set(neighbor_edges(spark.createDataFrame(pdf, LOC_SCHEMA), eta))
         assert got == ref_neighbor_edges(pdf, eta)
 
