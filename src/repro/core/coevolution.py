@@ -1,17 +1,21 @@
 """Pairwise co-evolution supports (paper §2.1 "minimum support ψ").
 
 Two sensors co-evolve at timestamp t when both have an evolving
-timestamp at t; their support is the number of such t. Computed as a
-self-join of the evolving-timestamp relation on ``t`` restricted to the
-η-neighbor pairs — a pure Catalyst dataflow that (a) prunes the search:
-an edge whose pairwise support is < ψ can never appear inside a CAP
+timestamp at t; their support is the number of such t, computed on
+the driver by :func:`repro.core.search.support`, the set intersection
+the CAP search uses for larger sets. It (a) prunes the search: an edge
+whose pairwise support is < ψ can never appear inside a CAP
 (anti-monotonicity), and (b) directly powers Table 5 (east–west vs
 north–south pair supports).
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.core.evolving import evolving_sets
+from repro.core.search import support
 
 
 def pair_supports(
@@ -32,24 +36,17 @@ def pair_supports(
 
     Pairs whose sensors never co-evolve are absent (support 0).
     """
-    e_src = evolving.select(
-        F.col("sensor_id").alias("src"),
-        F.col("t"),
-        F.col("direction").alias("src_dir"),
+    epos, eneg = evolving_sets(evolving, 0)
+    rows = [
+        (r["src"], r["dst"], n)
+        for r in edges.select("src", "dst").collect()
+        if (n := support((r["src"], r["dst"]), epos, eneg, same_direction))
+    ]
+    # from pandas, so that with Arrow on the frame is a local relation
+    return evolving.sparkSession.createDataFrame(
+        pd.DataFrame(rows, columns=["src", "dst", "support"]),
+        "src string, dst string, support long",
     )
-    e_dst = evolving.select(
-        F.col("sensor_id").alias("dst"),
-        F.col("t"),
-        F.col("direction").alias("dst_dir"),
-    )
-    joined = (
-        edges.select("src", "dst")
-        .join(e_src, on="src")
-        .join(e_dst, on=["dst", "t"])
-    )
-    if same_direction:
-        joined = joined.where(F.col("src_dir") == F.col("dst_dir"))
-    return joined.groupBy("src", "dst").agg(F.count("*").alias("support"))
 
 
 def coevolving_edges(
@@ -60,4 +57,3 @@ def coevolving_edges(
     return pair_supports(evolving, edges, same_direction=same_direction).where(
         F.col("support") >= int(psi)
     )
-

@@ -5,11 +5,14 @@ by more than the evolving rate ε since t−1 (paper §2.1: "if the amount
 of changes from the previous timestamp is smaller than ε, the
 timestamps are evaluated as that the measurements do not change").
 
-Implemented as a window ``lag`` partitioned by sensor — the canonical
-Catalyst expression of a per-entity temporal diff.
+The diff is a window ``lag`` partitioned by sensor — the relation
+scales with readings, so it stays a DataFrame. What the later steps
+need of it scales with sensors, so :func:`evolving_sets` gathers it to
+the driver in one job, dropping the sensors that cannot reach ψ.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -41,18 +44,33 @@ def extract_evolving(smoothed: DataFrame, epsilon: float) -> DataFrame:
     )
 
 
-def evolving_counts(evolving: DataFrame) -> DataFrame:
-    """Per-sensor evolving-timestamp counts ``(sensor_id, n_evolving)``
-    — used to drop never-evolving sensors before the spatial join (a
-    sensor with fewer than ψ evolving timestamps can never reach
-    support ψ, even alone)."""
-    return evolving.groupBy("sensor_id").agg(F.count("*").alias("n_evolving"))
+def evolving_sets(
+    evolving: DataFrame, psi: int
+) -> tuple[dict[str, frozenset], dict[str, frozenset]]:
+    """Increasing and decreasing evolving timestamps of every *active*
+    sensor, gathered to the driver in one job. A sensor is active when
+    it has at least ψ evolving timestamps; with fewer it can never reach
+    support ψ, even alone."""
+    epos: dict[str, frozenset] = {}
+    eneg: dict[str, frozenset] = {}
+    for r in (
+        evolving.groupBy("sensor_id")
+        .agg(
+            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
+            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
+        )
+        .where(F.size("p") + F.size("m") >= int(psi))
+        .collect()
+    ):
+        epos[r["sensor_id"]] = frozenset(r["p"])
+        eneg[r["sensor_id"]] = frozenset(r["m"])
+    return epos, eneg
 
 
 def active_sensors(evolving: DataFrame, psi: int) -> DataFrame:
-    """Sensors that can still reach minimum support ψ."""
-    return (
-        evolving_counts(evolving)
-        .where(F.col("n_evolving") >= int(psi))
-        .select("sensor_id")
+    """Sensors that can still reach minimum support ψ, as a one-column
+    ``sensor_id`` frame over :func:`evolving_sets`."""
+    epos, _ = evolving_sets(evolving, psi)
+    return evolving.sparkSession.createDataFrame(
+        pd.DataFrame({"sensor_id": list(epos)}, dtype=object), "sensor_id string"
     )

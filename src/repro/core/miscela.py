@@ -1,16 +1,17 @@
 """MISCELA: the full 4-step CAP mining pipeline (paper §2.2).
 
-:func:`mine_caps` is the one mining entry point. Steps 1–3 run as
-DataFrame dataflow, because their input, the readings, scales with
-sensors × ticks: linear segmentation, evolving-timestamp extraction,
-the active-sensor filter and the pairwise supports. The η-neighbor
-graph, whose input has one row per sensor, is built on the driver by
-:func:`repro.core.spatial.neighbor_edges`.
-What step 4 needs scales with sensors only, so the driver collects it
-once — the co-evolving edge list and, for the sensors on it, their
-evolving timestamps split by direction and their attribute — labels
-the components by union-find (:mod:`repro.core.components`) and runs
-:func:`search_component` once per component (DESIGN.md §3).
+:func:`mine_caps` is the one mining entry point. Spark runs only what
+scales with readings (sensors × ticks): linear segmentation and
+evolving-timestamp extraction. One job then gathers, per active sensor
+(≥ ψ evolving timestamps), its evolving timestamps split by direction
+(:func:`repro.core.evolving.evolving_sets`), and one collect brings the
+locations. Everything after that scales with sensors and runs on the
+driver: the η-neighbor graph by a latitude band sweep
+(:func:`repro.core.spatial.neighbor_pairs`), the pairwise supports by
+the search's own set intersection (:func:`repro.core.search.support`),
+union-find components
+(:mod:`repro.core.components`) and :func:`search_component` once per
+component (DESIGN.md §3).
 
 Components are computed over the *co-evolving* η-edges (pairwise
 support ≥ ψ), which is sound and complete: inside any valid CAP every
@@ -29,14 +30,12 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.components import union_find
-from repro.core.coevolution import coevolving_edges
-from repro.core.evolving import active_sensors, extract_evolving
-from repro.core.search import search_component
+from repro.core.evolving import evolving_sets, extract_evolving
+from repro.core.search import search_component, support
 from repro.core.segmentation import smooth_readings
-from repro.core.spatial import neighbor_edges
+from repro.core.spatial import neighbor_pairs
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
 CAPS_SCHEMA = "component string, sensors string, attributes string, support long, size long"
@@ -46,14 +45,12 @@ CAPS_COLUMNS = ["component", "sensors", "attributes", "support", "size"]
 @dataclass
 class MiningArtifacts:
     """Result of one mining run: the CAPs, the merged search
-    statistics, one wall time per stage, and the intermediate relations
-    as lazy DataFrames (Table 2 counts the co-evolving edges). Nothing
-    stays persisted, so reading a relation again recomputes it."""
+    statistics, one wall time per stage, and the η-neighbor and
+    co-evolving edges as ``(src, dst)`` lists with src < dst (Table 2
+    counts the co-evolving edges)."""
 
-    smoothed: DataFrame
-    evolving: DataFrame
-    edges: DataFrame
-    coev_edges: DataFrame
+    edges: list[tuple[str, str]]
+    coev_edges: list[tuple[str, str]]
     caps: DataFrame
     stats: SearchStats
     timings: dict = field(default_factory=dict)
@@ -90,35 +87,6 @@ def rows_to_caps(rows) -> list[CAP]:
     return out
 
 
-def _sensor_sets(
-    evolving: DataFrame, locations: DataFrame, sensors: list[str]
-) -> tuple[dict[str, frozenset], dict[str, frozenset], dict[str, str]]:
-    """(increasing, decreasing evolving timestamps, attribute) of each
-    of ``sensors``, collected to the driver."""
-    if not sensors:
-        return {}, {}, {}
-    epos: dict[str, frozenset] = {}
-    eneg: dict[str, frozenset] = {}
-    for r in (
-        evolving.where(F.col("sensor_id").isin(sensors))
-        .groupBy("sensor_id")
-        .agg(
-            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
-            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
-        )
-        .collect()
-    ):
-        epos[r["sensor_id"]] = frozenset(r["p"])
-        eneg[r["sensor_id"]] = frozenset(r["m"])
-    attribute = {
-        r["sensor_id"]: r["attribute"]
-        for r in locations.where(F.col("sensor_id").isin(sensors))
-        .select("sensor_id", "attribute")
-        .collect()
-    }
-    return epos, eneg, attribute
-
-
 def mine_caps(
     spark: SparkSession,
     readings: DataFrame,
@@ -144,42 +112,32 @@ def mine_caps(
         co-evolving edges (Table 4's fully naive miner). The CAPs are
         the same; their component labels come from the η-graph.
 
-    ``timings`` holds one wall time per stage: ``segment_and_extract_s``,
-    ``spatial_join_s``, ``collect_s`` (the driver's gather of the search
-    inputs), ``search_s`` (components and the search) and
-    ``caps_frame_s`` (the CAP list into ``caps``).
+    ``timings`` holds one wall time per stage: ``segment_and_extract_s``
+    (including the gather of the evolving timestamps), ``spatial_join_s``
+    (the locations, the η-graph and the pair supports), ``search_s``
+    (components and the search) and ``caps_frame_s`` (the CAP list into
+    ``caps``).
     """
     timings: dict = {}
     t0 = time.perf_counter()
     smoothed = smooth_readings(readings, params.segment_tolerance)
-    # cached only while this run is open: the active filter, both sides
-    # of the pair-support self-join and the gather below read it
-    evolving = extract_evolving(smoothed, params.epsilon).cache()
-    try:
-        evolving.count()
-        timings["segment_and_extract_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        active = active_sensors(evolving, params.psi)
-        edges = neighbor_edges(locations.join(active, on="sensor_id"), params.eta_meters)
-        coev = coevolving_edges(
-            evolving, edges, params.psi, same_direction=params.same_direction
-        )
-        search_edges = [
-            (r["src"], r["dst"])
-            for r in (edges if naive_spatial else coev).select("src", "dst").collect()
-        ]
-        timings["spatial_join_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        nodes = sorted({s for edge in search_edges for s in edge})
-        epos, eneg, attribute = _sensor_sets(evolving, locations, nodes)
-        timings["collect_s"] = time.perf_counter() - t0
-    finally:
-        evolving.unpersist()
+    epos, eneg = evolving_sets(extract_evolving(smoothed, params.epsilon), params.psi)
+    timings["segment_and_extract_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels = union_find(nodes, search_edges)
+    loc = locations.select("sensor_id", "attribute", "lat", "lon").toPandas()
+    attribute = dict(zip(loc["sensor_id"], loc["attribute"]))
+    near = neighbor_pairs(loc[loc["sensor_id"].isin(set(epos))], params.eta_meters)
+    edges = list(zip(near["src"], near["dst"]))
+    coev = [
+        (a, b) for a, b in edges
+        if support((a, b), epos, eneg, params.same_direction) >= params.psi
+    ]
+    timings["spatial_join_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    search_edges = edges if naive_spatial else coev
+    labels = union_find((), search_edges)
     adjacency: dict[str, set] = {}
     for a, b in search_edges:
         adjacency.setdefault(a, set()).add(b)
@@ -212,8 +170,6 @@ def mine_caps(
     timings["caps_frame_s"] = time.perf_counter() - t0
 
     return MiningArtifacts(
-        smoothed=smoothed,
-        evolving=evolving,
         edges=edges,
         coev_edges=coev,
         caps=caps_df,

@@ -28,19 +28,23 @@ from typing import Iterable, Mapping
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
 
-def _support(
+def support(
     members: tuple[str, ...],
     epos: Mapping[str, frozenset],
     eneg: Mapping[str, frozenset],
     same_direction: bool,
 ) -> int:
-    """Support of a sensor set from scratch (used by the baseline and
-    by tests as the non-incremental reference)."""
+    """Support of a sensor set from scratch: the number of timestamps
+    at which all of its sensors evolve (paper §2.1). The one definition
+    behind the pairwise supports, the unpruned baseline and the
+    brute-force oracle; a sensor missing from ``epos`` / ``eneg`` never
+    evolves."""
+    none = frozenset()
     if same_direction:
-        p = frozenset.intersection(*[epos[s] for s in members]) if members else frozenset()
-        m = frozenset.intersection(*[eneg[s] for s in members]) if members else frozenset()
+        p = frozenset.intersection(*[epos.get(s, none) for s in members]) if members else none
+        m = frozenset.intersection(*[eneg.get(s, none) for s in members]) if members else none
         return len(p) + len(m)
-    alls = [epos[s] | eneg[s] for s in members]
+    alls = [epos.get(s, none) | eneg.get(s, none) for s in members]
     return len(frozenset.intersection(*alls)) if alls else 0
 
 
@@ -96,7 +100,7 @@ def search_component(
     def grow(sub: list[str], attrs: set[str], state, forbidden: set[str], root: str):
         stats.nodes_expanded += 1
         if len(sub) >= 2 and len(attrs) >= 2:
-            sup = support_of(state) if prune_support else _support(tuple(sub), epos, eneg, same_dir)
+            sup = support_of(state) if prune_support else support(tuple(sub), epos, eneg, same_dir)
             if not prune_support:
                 stats.support_evaluations += 1
             if sup >= params.psi:
@@ -179,7 +183,7 @@ def brute_force_caps(
                 continue
             if not connected(sub):
                 continue
-            sup = _support(sub, epos, eneg, params.same_direction)
+            sup = support(sub, epos, eneg, params.same_direction)
             if sup >= params.psi:
                 out.append(CAP(sensors=sub, attributes=tuple(attrs), support=sup, component=component))
     return out

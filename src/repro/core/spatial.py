@@ -18,20 +18,20 @@ from pyspark.sql import DataFrame
 from repro.core.geo import haversine_np, meters_to_lat_degrees
 
 
-def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
+def neighbor_pairs(locations: pd.DataFrame, eta_meters: float) -> pd.DataFrame:
     """Undirected η-neighbor edges ``(src, dst, dist_m)`` with src < dst.
 
     Parameters
     ----------
     locations:
-        ``(sensor_id string, attribute string, lat double, lon double)``
-        — one row per sensor (the paper treats co-located sensors with
-        different attributes as *different* sensors, §4 footnote 2; a
-        zero distance between them is therefore a valid edge).
+        ``(sensor_id, lat, lon, ...)`` — one row per sensor (the paper
+        treats co-located sensors with different attributes as
+        *different* sensors, §4 footnote 2; a zero distance between
+        them is therefore a valid edge).
     eta_meters:
         Distance threshold η; strict ``dist < η``.
     """
-    pdf = locations.select("sensor_id", "lat", "lon").toPandas().sort_values("lat")
+    pdf = locations.sort_values("lat")
     ids = pdf["sensor_id"].to_numpy()
     lat = pdf["lat"].to_numpy(dtype=float)
     lon = pdf["lon"].to_numpy(dtype=float)
@@ -53,13 +53,21 @@ def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
         dist.append(d[keep])
     a, b = np.concatenate(src), np.concatenate(dst)
     swap = a > b
-    edges = pd.DataFrame(
+    return pd.DataFrame(
         {
             "src": np.where(swap, b, a),
             "dst": np.where(swap, a, b),
             "dist_m": np.concatenate(dist),
         }
     ).drop_duplicates(["src", "dst"])
+
+
+def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
+    """:func:`neighbor_pairs` of a ``(sensor_id, lat, lon, ...)`` frame,
+    as a ``(src string, dst string, dist_m double)`` frame."""
+    edges = neighbor_pairs(
+        locations.select("sensor_id", "lat", "lon").toPandas(), eta_meters
+    )
     # from pandas, so that with Arrow on the frame is a local relation
     return locations.sparkSession.createDataFrame(
         edges, "src string, dst string, dist_m double"

@@ -77,13 +77,19 @@ class ChunkedUploader:
         self.n_chunks_received += 1
 
     def commit(self, locations: pd.DataFrame, attributes: list[str]) -> dict:
-        """Finalize: convert timestamps → ticks, persist, return stats."""
+        """Finalize: convert timestamps → ticks, persist, return stats.
+        Raises ``ValueError``, before saving, for an attribute missing
+        from attribute.csv, an id missing from location.csv, or two rows
+        with the same (id, time): supports count each tick once."""
         if not self._chunks:
             raise ValueError("no chunks received")
         data = pd.concat(self._chunks, ignore_index=True)
         unknown = set(data["attribute"]) - set(attributes)
         if unknown:
             raise ValueError(f"data.csv attributes not in attribute.csv: {sorted(unknown)}")
+        unplaced = set(data["id"]) - set(locations["sensor_id"])
+        if unplaced:
+            raise ValueError(f"data.csv ids not in location.csv: {sorted(unplaced)}")
         start = str(pd.to_datetime(data["time"]).min())
         readings = pd.DataFrame(
             {
@@ -92,6 +98,9 @@ class ChunkedUploader:
                 "value": pd.to_numeric(data["data"], errors="coerce"),
             }
         )
+        twice = data.loc[readings.duplicated(["sensor_id", "t"]), ["id", "time"]]
+        if len(twice):
+            raise ValueError(f"data.csv has duplicate (id, time) rows: {twice.values[:3].tolist()}")
         self.store.save(
             self.name,
             self.spark.createDataFrame(readings, schema=READINGS_SCHEMA),

@@ -63,7 +63,7 @@ def run(
                     "param": param,
                     "value": v,
                     "n_caps": art.caps.count(),
-                    "n_coev_edges": art.coev_edges.count(),
+                    "n_coev_edges": len(art.coev_edges),
                     "search_s": round(art.timings["search_s"], 3),
                 }
             )

@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.evolving import active_sensors, evolving_counts, extract_evolving
+from repro.core.evolving import active_sensors, evolving_sets, extract_evolving
 from repro.core.segmentation import smooth_readings
 from repro.oracle import assert_equivalent
 from tests.helpers import A_JUMPS, B_JUMPS, C_JUMPS, ref_evolving, scene_readings_pdf, scene_spark
@@ -83,14 +83,6 @@ class TestExtractEvolving:
 
 
 class TestEvolvingCountsAndActive:
-    def test_counts_match_oracle(self, spark, scene_smoothed):
-        ev = extract_evolving(scene_smoothed, 0.1)
-        assert_equivalent(
-            evolving_counts(ev),
-            "SELECT sensor_id, count(*) AS n_evolving FROM ev GROUP BY sensor_id",
-            ev=ev,
-        )
-
     @pytest.mark.parametrize(
         "psi,expected",
         [
@@ -104,3 +96,13 @@ class TestEvolvingCountsAndActive:
         ev = extract_evolving(scene_smoothed, 0.1)
         got = {r["sensor_id"] for r in active_sensors(ev, psi).collect()}
         assert got == expected
+
+    def test_sets_match_reference_split_by_direction(self, spark, scene_smoothed):
+        # psi=2 drops c1, the one sensor with a single evolving tick
+        epos, eneg = evolving_sets(extract_evolving(scene_smoothed, 0.1), 2)
+        ref = ref_evolving(scene_readings_pdf(), 0.0, 0.1)
+        ref = ref[ref["sensor_id"] != "c1"]
+        assert set(epos) == set(eneg) == set(ref["sensor_id"])
+        for s, g in ref.groupby("sensor_id"):
+            assert epos[s] == frozenset(g["t"][g["direction"] == 1])
+            assert eneg[s] == frozenset(g["t"][g["direction"] == -1])

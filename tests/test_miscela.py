@@ -1,6 +1,8 @@
 """Integration tests: the full 4-step pipeline, its agreement with the
 brute-force search and the unpruned baselines, and the planted-pattern
 ground truth of the scene."""
+import dataclasses
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -46,8 +48,6 @@ class TestDistributedPipeline:
 
     def test_psi_four_drops_cluster_b(self, spark):
         readings, locations = scene_spark(spark)
-        import dataclasses
-
         art = mine_caps(spark, readings, locations, dataclasses.replace(PARAMS, psi=4))
         got = {tuple(r["sensors"].split(",")) for r in art.caps.collect()}
         assert ("b1", "b2") not in got and ("a1", "a2") in got
@@ -68,9 +68,11 @@ class TestDistributedPipeline:
             assert r["size"] == len(r["sensors"].split(","))
 
     def test_artifacts_expose_intermediates(self, spark, scene_mined):
-        # a1,a2,a3 → 4 each = 12; b1,b2 → 3 each = 6; c1 → 1 ⇒ 19 rows
-        assert scene_mined.evolving.count() == 19
-        assert scene_mined.edges.count() == 4  # A triangle + B pair
+        # c1 is inactive (1 evolving tick < ψ); A triangle + B pair
+        pairs = {("a1", "a2"), ("a1", "a3"), ("a2", "a3"), ("b1", "b2")}
+        assert sorted(scene_mined.edges) == sorted(pairs)
+        # every pair co-evolves on ≥ ψ=3 ticks: A on 4, B on 3
+        assert sorted(scene_mined.coev_edges) == sorted(pairs)
         assert set(scene_mined.timings) >= {"segment_and_extract_s", "spatial_join_s", "search_s"}
 
     def test_oracle_cap_count_by_size(self, spark, scene_mined):
@@ -83,9 +85,13 @@ class TestDistributedPipeline:
 
 
 class TestLocalAndBaselineAgree:
-    def test_matches_brute_force(self, spark, scene_mined):
+    @pytest.mark.parametrize("same_direction", [False, True])
+    def test_matches_brute_force(self, spark, same_direction):
         # the exhaustive search over the whole scene, fed straight from
         # the test fixture, knows nothing of components or pruning
+        params = dataclasses.replace(PARAMS, same_direction=same_direction)
+        readings, locations = scene_spark(spark)
+        mined = mine_caps(spark, readings, locations, params)
         loc = scene_locations_pdf()
         attributes = dict(zip(loc["sensor_id"], loc["attribute"]))
         epos, eneg = {}, {}
@@ -97,9 +103,12 @@ class TestLocalAndBaselineAgree:
         for a, b in ref_neighbor_edges(loc, PARAMS.eta_meters):
             adjacency[a].add(b)
             adjacency[b].add(a)
-        want = brute_force_caps(attributes, adjacency, epos, eneg, PARAMS)
-        assert _cap_set(rows_to_caps(scene_mined.caps.collect())) == _cap_set(want)
-        assert scene_mined.stats.emitted == len(want)
+        want = brute_force_caps(attributes, adjacency, epos, eneg, params)
+        # with same_direction a3, the inverted series, co-evolves with
+        # no one: only the a1-a2 and b1-b2 pairs remain
+        assert len(want) == (2 if same_direction else 5)
+        assert _cap_set(rows_to_caps(mined.caps.collect())) == _cap_set(want)
+        assert mined.stats.emitted == len(want)
 
     def test_baseline_matches_miscela(self, spark, scene_mined):
         readings, locations = scene_spark(spark)

@@ -135,3 +135,36 @@ class TestUploadEndToEnd:
                               "lat": [0.0], "lon": [0.0]}),
                 ["temperature"],
             )
+
+    @staticmethod
+    def _uploader(spark, tmp_path, rows):
+        store = DatasetStore(tmp_path / "s3")
+        up = ChunkedUploader(spark, store, "x")
+        up.receive_chunk(pd.DataFrame(rows, columns=["id", "attribute", "time", "data"]))
+        return store, up
+
+    LOCATIONS = pd.DataFrame({"sensor_id": ["0", "1"], "attribute": ["temperature"] * 2,
+                              "lat": [0.0, 0.0], "lon": [0.0, 0.001]})
+
+    def test_duplicate_id_time_rejected(self, spark, tmp_path):
+        # the second reading of sensor 0 at 01:00 sits in its own chunk
+        store, up = self._uploader(spark, tmp_path, [
+            ["0", "temperature", "2020-01-01 00:00:00", 1.0],
+            ["0", "temperature", "2020-01-01 01:00:00", 2.0],
+            ["1", "temperature", "2020-01-01 01:00:00", 2.0],
+        ])
+        up.receive_chunk(pd.DataFrame(
+            [["0", "temperature", "2020-01-01 01:00:00", 3.0]],
+            columns=["id", "attribute", "time", "data"]))
+        with pytest.raises(ValueError, match=r"duplicate \(id, time\) rows: \[\[.0., .2020-01-01 01:00:00.\]\]"):
+            up.commit(self.LOCATIONS, ["temperature"])
+        assert store.names() == []
+
+    def test_id_missing_from_location_csv_rejected(self, spark, tmp_path):
+        store, up = self._uploader(spark, tmp_path, [
+            ["0", "temperature", "2020-01-01 00:00:00", 1.0],
+            ["7", "temperature", "2020-01-01 00:00:00", 1.0],
+        ])
+        with pytest.raises(ValueError, match=r"ids not in location.csv: \['7'\]"):
+            up.commit(self.LOCATIONS, ["temperature"])
+        assert store.names() == []

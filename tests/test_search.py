@@ -2,7 +2,7 @@
 exponential brute-force oracle, pruning soundness, and instrumentation."""
 import pytest
 
-from repro.core.search import _support, brute_force_caps, search_component
+from repro.core.search import brute_force_caps, search_component, support
 from repro.core.types import CAP, MiscelaParams
 from tests.helpers import random_graph_instance
 
@@ -31,15 +31,15 @@ def _as_set(caps):
 
 class TestSupportHelper:
     def test_any_direction_is_intersection(self):
-        assert _support(("s1", "s2"), EPOS, ENEG, False) == 4
-        assert _support(("s1", "s2", "s3"), EPOS, ENEG, False) == 2
+        assert support(("s1", "s2"), EPOS, ENEG, False) == 4
+        assert support(("s1", "s2", "s3"), EPOS, ENEG, False) == 2
 
     def test_same_direction_splits_signs(self):
         epos = {"a": frozenset({1, 2}), "b": frozenset({1})}
         eneg = {"a": frozenset({3}), "b": frozenset({2, 3})}
         # same-sign common ticks: +{1}, -{3} → 2; any-direction: {1,2,3} → 3
-        assert _support(("a", "b"), epos, eneg, True) == 2
-        assert _support(("a", "b"), epos, eneg, False) == 3
+        assert support(("a", "b"), epos, eneg, True) == 2
+        assert support(("a", "b"), epos, eneg, False) == 3
 
 
 class TestSearchFixedInstance:
