@@ -7,12 +7,20 @@ and the MISCELA miner. Here the same endpoints are plain methods on
 * ``upload``            — §3.2 chunked CSV bundle upload;
 * ``mine``              — run CAP mining with user parameters, cache-
                           aware per §3.3 (same dataset + parameters ⇒
-                          served from the store without re-mining);
+                          served without re-mining, from the cache's
+                          in-memory slot when it is the last result put
+                          or read);
 * ``correlated_sensors``— the "click a sensor on the map" interaction:
                           sensors correlated with the clicked one, for
-                          highlighting;
+                          highlighting; each answer is kept in the cache
+                          slot beside the CAPs it came from, so a repeat
+                          click is a lookup;
 * ``map_payload`` / ``timeseries_payload`` — the two views of Figure 3,
   built by :mod:`repro.viz.payload`.
+
+A re-upload empties the cache slot. The cached documents stay keyed by
+(dataset name, parameters), so a re-upload of other data is still served
+the old CAPs (ROADMAP 4a).
 """
 from __future__ import annotations
 
@@ -58,6 +66,7 @@ class MiscelaApi:
     def upload(self, name: str, csv_dir: str | Path, chunk_lines: int = 10_000,
                interval_minutes: int = 60) -> dict:
         """Upload a CSV bundle under ``name``; re-uploading overwrites."""
+        self.cache.drop()
         return upload_csv_bundle(
             self.spark, self.store, name, csv_dir,
             chunk_lines=chunk_lines, interval_minutes=interval_minutes,
@@ -94,28 +103,32 @@ class MiscelaApi:
         sensor sharing a CAP with it, with the shared attributes
         (paper §3.1: "sensors are highlighted if their measurements are
         correlated to measurements of the clicked sensor")."""
-        response = self.mine(dataset, params)
-        correlated: dict[str, set[str]] = {}
-        for cap in response.caps:
-            if sensor_id in cap.sensors:
-                for other in cap.sensors:
-                    if other != sensor_id:
-                        correlated.setdefault(other, set()).update(cap.attributes)
-        return {s: sorted(a) for s, a in sorted(correlated.items())}
+        return self._correlated(self.mine(dataset, params).caps, sensor_id)
+
+    def _correlated(self, caps: list[CAP], sensor_id: str) -> dict[str, list[str]]:
+        """The click answer for ``caps``, the CAPs a ``mine`` call just
+        returned (so the cache slot holds them): scanned on the first
+        click of ``sensor_id``, then kept in the slot's ``clicks``."""
+        clicks = self.cache.clicks
+        if sensor_id not in clicks:
+            correlated: dict[str, set[str]] = {}
+            for cap in caps:
+                if sensor_id in cap.sensors:
+                    for other in cap.sensors:
+                        if other != sensor_id:
+                            correlated.setdefault(other, set()).update(cap.attributes)
+            clicks[sensor_id] = {s: sorted(a) for s, a in sorted(correlated.items())}
+        return {s: list(a) for s, a in clicks[sensor_id].items()}
 
     # ---- Figure-3 payloads ------------------------------------------
     def map_payload(self, dataset: str, params: MiscelaParams,
                     clicked: str | None = None) -> dict:
         from repro.viz.payload import build_map_payload
 
-        readings, locations, _ = self.store.load(self.spark, dataset)
         caps = self.mine(dataset, params).caps
-        highlight = (
-            set(self.correlated_sensors(dataset, params, clicked)) | {clicked}
-            if clicked
-            else set()
-        )
-        return build_map_payload(locations, caps, highlight)
+        highlight = set(self._correlated(caps, clicked)) | {clicked} if clicked else set()
+        return build_map_payload(self.store.load_locations(self.spark, dataset), caps,
+                                 highlight)
 
     def timeseries_payload(self, dataset: str, sensor_ids: list[str],
                            t_min: int | None = None, t_max: int | None = None) -> dict:

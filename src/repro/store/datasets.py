@@ -55,13 +55,17 @@ class DatasetStore:
     def names(self) -> list[str]:
         return sorted(d["name"] for d in self.docs.find("datasets"))
 
+    def _doc(self, name: str) -> dict:
+        doc = self.docs.get("datasets", name)
+        if doc is None:
+            raise KeyError(f"dataset {name!r} not uploaded")
+        return doc
+
     def load(self, spark: SparkSession, name: str) -> tuple[DataFrame, DataFrame, dict]:
         """→ (readings, locations, metadata doc). Raises KeyError if
         absent and ValueError if ``name`` is not a valid dataset name."""
         base = self._base(name)
-        doc = self.docs.get("datasets", name)
-        if doc is None:
-            raise KeyError(f"dataset {name!r} not uploaded")
+        doc = self._doc(name)
         # the §3.2 schemas are fixed: reading them from the parquet
         # footers would cost a Spark job per relation on every load
         return (
@@ -69,3 +73,10 @@ class DatasetStore:
             spark.read.schema(LOCATIONS_SCHEMA).parquet(str(base / "locations")),
             doc,
         )
+
+    def load_locations(self, spark: SparkSession, name: str) -> DataFrame:
+        """The locations relation alone, for views that need no readings;
+        raises like :meth:`load`."""
+        base = self._base(name)
+        self._doc(name)
+        return spark.read.schema(LOCATIONS_SCHEMA).parquet(str(base / "locations"))

@@ -7,14 +7,20 @@ operations MISCELA-V actually needs are schemaless insert and
 equality-filtered find — provided here as one directory per collection
 with one JSON file per document. Atomicity is per-document via
 write-to-temp + rename, which is all a single-node demo server needs.
+A document id is a file name, so ids outside ``[A-Za-z0-9_-]+`` raise
+``ValueError`` before any file is touched.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import uuid
 from pathlib import Path
 from typing import Iterator
+
+# a document id becomes a file name: anything else could leave the collection
+_DOC_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class DocumentStore:
@@ -31,17 +37,22 @@ class DocumentStore:
         path.mkdir(exist_ok=True)
         return path
 
+    def _path(self, collection: str, doc_id: str) -> Path:
+        if not _DOC_ID.fullmatch(doc_id):
+            raise ValueError(f"bad document id: {doc_id!r}")
+        return self._collection(collection) / f"{doc_id}.json"
+
     def insert(self, collection: str, doc: dict, doc_id: str | None = None) -> str:
         """Insert (or overwrite) a document; returns its id."""
         doc_id = doc_id or uuid.uuid4().hex
-        path = self._collection(collection) / f"{doc_id}.json"
+        path = self._path(collection, doc_id)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
         return doc_id
 
     def get(self, collection: str, doc_id: str) -> dict | None:
-        path = self._collection(collection) / f"{doc_id}.json"
+        path = self._path(collection, doc_id)
         if not path.exists():
             return None
         return json.loads(path.read_text())
@@ -54,7 +65,7 @@ class DocumentStore:
                 yield doc
 
     def delete(self, collection: str, doc_id: str) -> bool:
-        path = self._collection(collection) / f"{doc_id}.json"
+        path = self._path(collection, doc_id)
         if path.exists():
             path.unlink()
             return True

@@ -1,6 +1,7 @@
 """Tests for the API facade: the demo's interactive loop — upload,
 mine (cache-aware), click-to-highlight, and the Figure-3 payloads."""
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,16 @@ def bundle(tmp_path_factory):
         "2016-03-01 00:00:00", 60,
     )
     return bundle
+
+
+def brute_force_clicks(caps, sensor):
+    correlated: dict[str, set[str]] = {}
+    for cap in caps:
+        if sensor in cap.sensors:
+            for other in cap.sensors:
+                if other != sensor:
+                    correlated.setdefault(other, set()).update(cap.attributes)
+    return {s: sorted(a) for s, a in sorted(correlated.items())}
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +63,20 @@ class TestDatasetNames:
         assert [p.name for p in tmp_path.iterdir()] == ["store"]
         assert [p.name for p in root.iterdir()] == ["docs"]
         assert api.datasets() == []
+
+    @pytest.mark.parametrize("bad", ["../x", "../datasets/scene"])
+    def test_unsafe_name_read_nothing(self, spark, tmp_path, bundle, bad, monkeypatch):
+        root = tmp_path / "store"
+        api = MiscelaApi(spark, root)
+        api.upload("scene", bundle, chunk_lines=50)
+        (root / "docs" / "x.json").write_text("{}")
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text",
+                            lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+        with pytest.raises(ValueError):
+            api.mine(bad, PARAMS)
+        assert reads == []
 
 
 class TestMineEndpoint:
@@ -98,6 +123,17 @@ class TestMineEndpoint:
         assert all(isinstance(v, float) and v >= 0 for v in r.timings.values())
 
 
+class TestReupload:
+    def test_reupload_drops_the_cache_slot(self, spark, tmp_path, bundle):
+        api = MiscelaApi(spark, tmp_path / "a")
+        api.upload("city", bundle, chunk_lines=50)
+        api.mine("city", PARAMS)
+        assert api.correlated_sensors("city", PARAMS, "b1") == {"b2": ["temperature", "traffic"]}
+        assert api.cache.clicks
+        api.upload("city", bundle, chunk_lines=50)
+        assert api.cache.clicks == {} and api.cache._caps == ()
+
+
 class TestSparkStorage:
     def test_cold_mines_leave_nothing_persisted(self, api, spark):
         jsc = spark.sparkContext._jsc
@@ -123,6 +159,21 @@ class TestCorrelatedSensors:
     def test_click_isolated_sensor_empty(self, api):
         assert api.correlated_sensors("scene", PARAMS, "c1") == {}
 
+    def test_every_click_matches_a_scan_of_the_caps(self, api):
+        other = dataclasses.replace(PARAMS, psi=4)
+        for params in (PARAMS, other, PARAMS):  # re-mines swap the cache slot
+            caps = api.mine("scene", params).caps
+            for _ in range(2):  # the first click scans, the repeat is a lookup
+                for s, *_ in SCENE_SENSORS:
+                    assert api.correlated_sensors("scene", params, s) == brute_force_clicks(caps, s)
+
+    def test_mutating_an_answer_leaves_the_next_one_intact(self, api):
+        got = api.correlated_sensors("scene", PARAMS, "a1")
+        got["a2"].clear()
+        got.clear()
+        assert api.correlated_sensors("scene", PARAMS, "a1")["a2"] == [
+            "light", "temperature", "traffic"]
+
 
 class TestMapPayload:
     def test_markers_cover_all_sensors(self, api):
@@ -135,6 +186,18 @@ class TestMapPayload:
         hl = {m["sensor_id"] for m in p["markers"] if m["highlighted"]}
         assert hl == {"a1", "a2", "a3"}
         assert p["n_highlighted"] == 3
+
+    def test_clicked_view_reads_the_cache_once_and_no_readings(self, api, monkeypatch):
+        api.cache.drop()  # the slot may hold another entry: make the hit read the document
+        gets = []
+        get = api.cache.get
+        monkeypatch.setattr(api.cache, "get", lambda *a: gets.append(a) or get(*a))
+        monkeypatch.setattr(api.store, "load", None)  # readings are not needed
+        clicked = api.map_payload("scene", PARAMS, clicked="a1")
+        assert len(gets) == 1
+        plain = api.map_payload("scene", PARAMS)
+        assert clicked["caps"] == plain["caps"]
+        assert [{**m, "highlighted": False} for m in clicked["markers"]] == plain["markers"]
 
     def test_markers_carry_cap_membership(self, api):
         p = api.map_payload("scene", PARAMS)

@@ -51,6 +51,15 @@ class TestDocumentStore:
         with pytest.raises(ValueError):
             DocumentStore(tmp_path).insert(bad, {})
 
+    @pytest.mark.parametrize("bad", ["../x", "a/b", "a\\b", "a.b", "..", "x y"])
+    def test_bad_document_ids_rejected(self, tmp_path, bad):
+        db = DocumentStore(tmp_path)
+        for op in (lambda: db.get("col", bad), lambda: db.delete("col", bad),
+                   lambda: db.insert("col", {}, doc_id=bad)):
+            with pytest.raises(ValueError, match="bad document id"):
+                op()
+        assert db.count("col") == 0
+
     def test_nested_documents_roundtrip(self, tmp_path):
         db = DocumentStore(tmp_path)
         doc = {"caps": [{"sensors": ["a", "b"], "support": 3}], "params": {"psi": 5}}
@@ -86,6 +95,12 @@ class TestDatasetStore:
     def test_load_missing_raises(self, spark, tmp_path):
         with pytest.raises(KeyError, match="not uploaded"):
             DatasetStore(tmp_path).load(spark, "ghost")
+
+    def test_exists_does_not_read_outside_its_collection(self, tmp_path):
+        store = DatasetStore(tmp_path)
+        (tmp_path / "docs" / "x.json").write_text("{}")
+        with pytest.raises(ValueError):
+            store.exists("../x")
 
 
 CAPS = [CAP(("a", "b"), ("x", "y"), 5, "a"), CAP(("b", "c"), ("y", "z"), 3, "a")]
@@ -138,3 +153,59 @@ class TestCapCache:
         assert doc["dataset"] == "d"
         assert doc["params"]["psi"] == p.psi
         assert {tuple(c["sensors"]) for c in doc["caps"]} == {("a", "b"), ("b", "c")}
+
+    def test_slot_hit_equals_disk_hit(self, tmp_path):
+        docs = DocumentStore(tmp_path)
+        cache = CapCache(docs)
+        p = MiscelaParams()
+        cache.put("d", p, CAPS[::-1])
+        from_slot = cache.get("d", p)
+        from_disk = CapCache(docs).get("d", p)
+        assert from_slot == from_disk == sorted(CAPS, key=lambda c: c.sensors)
+        assert [c.component for c in from_slot] == [c.component for c in from_disk]
+
+    def test_hit_from_slot_reads_no_document(self, tmp_path, monkeypatch):
+        docs = DocumentStore(tmp_path)
+        cache = CapCache(docs)
+        p, other = MiscelaParams(psi=5), MiscelaParams(psi=6)
+        reads = []
+        get = docs.get
+        monkeypatch.setattr(docs, "get", lambda c, i: reads.append(c) or get(c, i))
+        cache.put("d", p, CAPS)
+        cache.put("d", other, CAPS[:1])
+        reads.clear()
+        for _ in range(3):
+            assert cache.get("d", other) == CAPS[:1]
+        assert "cap_results" not in reads  # the last put fills the slot
+        assert cache.get("d", p) == sorted(CAPS, key=lambda c: c.sensors)
+        assert reads.count("cap_results") == 1  # another key: read from disk once
+        cache.get("d", p)
+        assert reads.count("cap_results") == 1
+        assert cache.hits == 5 and cache.misses == 0
+
+    @pytest.mark.parametrize("how", ["put", "invalidate", "miss", "drop"])
+    def test_slot_and_clicks_are_dropped(self, tmp_path, how):
+        cache = CapCache(DocumentStore(tmp_path))
+        p, other = MiscelaParams(psi=5), MiscelaParams(psi=6)
+        cache.put("d", p, CAPS)
+        cache.get("d", p)
+        cache.clicks["a"] = {"b": ["x", "y"]}
+        if how == "put":
+            cache.put("d", other, CAPS[:1])
+        elif how == "invalidate":
+            assert cache.invalidate("d", p)
+        elif how == "miss":
+            assert cache.get("d2", p) is None
+        else:
+            cache.drop()
+        assert cache.clicks == {}
+        assert cache.get("d", p) == (None if how == "invalidate" else
+                                     sorted(CAPS, key=lambda c: c.sensors))
+
+    def test_mutating_a_returned_list_leaves_the_cache_intact(self, tmp_path):
+        cache = CapCache(DocumentStore(tmp_path))
+        p = MiscelaParams()
+        cache.put("d", p, CAPS)
+        got = cache.get("d", p)
+        got.clear()
+        assert cache.get("d", p) == sorted(CAPS, key=lambda c: c.sensors)

@@ -50,6 +50,7 @@ class TestTable3:
         row = df[df["psi"] == 6].iloc[0]
         assert row["warm_s"] < row["cold_s"]
         assert row["speedup"] > 10
+        assert row["store_s"] < row["cold_s"]
 
 
 class TestTable4:
