@@ -17,15 +17,33 @@ because support and attribute count are monotone along every path:
 * **μ pruning** — attributes only accumulate, so a candidate exceeding
   μ attributes kills its subtree.
 
-The kernel :func:`search_component` is pure Python over frozensets of
-timestamps; :func:`repro.core.miscela.mine_caps` calls it on the driver
-once per spatial component.
+The kernel :func:`search_component` is pure Python: each node carries
+the intersection of its members' :func:`evolving_keys`, whose size is
+its support. :func:`repro.core.miscela.mine_caps` calls it on the
+driver once per spatial component.
 """
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
 from repro.core.types import CAP, MiscelaParams, SearchStats
+
+
+def evolving_keys(
+    sensor: str,
+    epos: Mapping[str, frozenset],
+    eneg: Mapping[str, frozenset],
+    same_direction: bool,
+) -> frozenset:
+    """The keys at which ``sensor`` evolves: its evolving timestamps, or
+    ``(timestamp, ±1)`` pairs when ``same_direction`` is set, so that
+    two sensors share a key only when they move the same way. A sensor
+    missing from ``epos`` / ``eneg`` never evolves."""
+    none = frozenset()
+    up, down = epos.get(sensor, none), eneg.get(sensor, none)
+    if same_direction:
+        return frozenset((t, 1) for t in up) | frozenset((t, -1) for t in down)
+    return up | down
 
 
 def support(
@@ -35,17 +53,14 @@ def support(
     same_direction: bool,
 ) -> int:
     """Support of a sensor set from scratch: the number of timestamps
-    at which all of its sensors evolve (paper §2.1). The one definition
-    behind the pairwise supports, the unpruned baseline and the
-    brute-force oracle; a sensor missing from ``epos`` / ``eneg`` never
-    evolves."""
-    none = frozenset()
-    if same_direction:
-        p = frozenset.intersection(*[epos.get(s, none) for s in members]) if members else none
-        m = frozenset.intersection(*[eneg.get(s, none) for s in members]) if members else none
-        return len(p) + len(m)
-    alls = [epos.get(s, none) | eneg.get(s, none) for s in members]
-    return len(frozenset.intersection(*alls)) if alls else 0
+    at which all of its sensors evolve (paper §2.1), i.e. the size of
+    the intersection of their :func:`evolving_keys`. The one definition
+    behind the pairwise supports, the search's running intersection and
+    the brute-force oracle."""
+    if not members:
+        return 0
+    return len(frozenset.intersection(
+        *[evolving_keys(s, epos, eneg, same_direction) for s in members]))
 
 
 def search_component(
@@ -70,44 +85,28 @@ def search_component(
         sensor_id → frozenset of timestamps with increasing /
         decreasing evolving timestamps.
     prune_support:
-        True = MISCELA (anti-monotone pruning); False = the Table-4
-        baseline, which expands the full lattice (bounded by μ and
-        ``max_sensors``) and evaluates support only on emission.
+        True = MISCELA (support pruning at ψ); False = the Table-4
+        baseline: a pruning floor of 0, so the search expands the full
+        lattice (bounded by μ and ``max_sensors``); emission still
+        needs support ≥ ψ.
 
     Returns the CAP list and :class:`SearchStats` instrumentation.
     """
     stats = SearchStats()
     caps: list[CAP] = []
     sensors = sorted(attributes)
-    adj = {s: sorted(set(adjacency.get(s, ())) & set(sensors)) for s in sensors}
-    eall = {s: epos.get(s, frozenset()) | eneg.get(s, frozenset()) for s in sensors}
-    same_dir = params.same_direction
+    members = set(sensors)
+    adj = {s: sorted(members.intersection(adjacency.get(s, ()))) for s in sensors}
+    keys = {s: evolving_keys(s, epos, eneg, params.same_direction) for s in sensors}
+    floor = params.psi if prune_support else 0
 
-    def state_of(sensor: str):
-        """Running intersection state for a single sensor."""
-        if same_dir:
-            return (epos.get(sensor, frozenset()), eneg.get(sensor, frozenset()))
-        return eall[sensor]
-
-    def extend_state(state, sensor: str):
-        if same_dir:
-            return (state[0] & epos.get(sensor, frozenset()), state[1] & eneg.get(sensor, frozenset()))
-        return state & eall[sensor]
-
-    def support_of(state) -> int:
-        return (len(state[0]) + len(state[1])) if same_dir else len(state)
-
-    def grow(sub: list[str], attrs: set[str], state, forbidden: set[str], root: str):
+    def grow(sub: list[str], attrs: set[str], state: frozenset, forbidden: set[str], root: str):
         stats.nodes_expanded += 1
-        if len(sub) >= 2 and len(attrs) >= 2:
-            sup = support_of(state) if prune_support else support(tuple(sub), epos, eneg, same_dir)
-            if not prune_support:
-                stats.support_evaluations += 1
-            if sup >= params.psi:
-                stats.emitted += 1
-                caps.append(
-                    CAP(sensors=tuple(sub), attributes=tuple(attrs), support=sup, component=component)
-                )
+        if len(sub) >= 2 and len(attrs) >= 2 and len(state) >= params.psi:
+            stats.emitted += 1
+            caps.append(
+                CAP(sensors=tuple(sub), attributes=tuple(attrs), support=len(state), component=component)
+            )
         if len(sub) >= params.max_sensors:
             # any neighbor we could still add counts as a bound hit
             if any(
@@ -128,20 +127,17 @@ def search_component(
                 stats.pruned_by_mu += 1
                 local_forbidden.add(w)
                 continue
-            if prune_support:
-                new_state = extend_state(state, w)
-                stats.support_evaluations += 1
-                if support_of(new_state) < params.psi:
-                    stats.pruned_by_support += 1
-                    local_forbidden.add(w)
-                    continue
-            else:
-                new_state = None
+            new_state = state & keys[w]
+            stats.support_evaluations += 1
+            if len(new_state) < floor:
+                stats.pruned_by_support += 1
+                local_forbidden.add(w)
+                continue
             grow(sub + [w], new_attrs, new_state, set(local_forbidden), root)
             local_forbidden.add(w)
 
     for root in sensors:
-        grow([root], {attributes[root]}, state_of(root) if prune_support else None, set(), root)
+        grow([root], {attributes[root]}, keys[root], set(), root)
     return caps, stats
 
 

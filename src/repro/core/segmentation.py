@@ -1,12 +1,14 @@
 """Step 1 of MISCELA: linear segmentation (paper §2.2 step 1).
 
 "We filter uninteresting data fluctuation by applying a linear
-segmentation algorithm to time series data." We implement the classic
-greedy sliding-window segmentation: grow a segment while the
-least-squares line over it keeps every point within ``tolerance``, then
-start a new segment. The smoothed series is each segment's fitted line
-evaluated at the original timestamps, so downstream steps keep one value
-per (sensor, t).
+segmentation algorithm to time series data." We segment greedily left
+to right: a segment ends where its least-squares line would leave a
+point more than ``tolerance`` away. :func:`segment_series` finds that
+end by doubling and binary search, which is not the classic grow-by-one
+sliding window: it assumes the max residual grows with window length,
+which it does not (ROADMAP item 3). The smoothed series is each
+segment's fitted line evaluated at the original timestamps, so
+downstream steps keep one value per (sensor, t).
 
 Before segmenting, each sensor series is min-max normalized to [0, 1]
 (DESIGN.md §3) and nulls are linearly interpolated (the paper allows
@@ -57,11 +59,13 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
-    """Greedy sliding-window linear segmentation of one series.
+    """Greedy left-to-right linear segmentation of one series.
 
     Doubles the window to find an upper bound on the segment end, then
     binary-searches the largest end still within ``tolerance`` —
-    O(n log n) fits overall instead of O(n²) for grow-by-one.
+    O(n log n) fits overall instead of O(n²) for grow-by-one. The max
+    residual is not monotone in window length, so the segments can
+    differ from grow-by-one's (ROADMAP item 3).
     ``tolerance <= 0`` returns the series unchanged (smoothing off).
     """
     v = np.asarray(values, dtype="float64")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class MiscelaParams:
         Minimum support ψ: a sensor set qualifies iff all its sensors
         evolve together at ≥ ψ timestamps.
     segment_tolerance:
-        Max absolute residual (normalized units) allowed when the linear
-        segmentation grows a segment. 0 disables smoothing.
+        Max absolute residual (normalized units) allowed between a
+        segment and its least-squares line. 0 disables smoothing.
     max_sensors:
         Safety bound on CAP size in sensors (the attribute bound μ does
         not bound sensor count — many sensors may share one attribute).
@@ -124,8 +124,8 @@ class CAP:
 class SearchStats:
     """Instrumentation shared by MISCELA and the baseline (Table 4).
 
-    ``support_evaluations`` counts how many candidate sets had their
-    support computed — the work the anti-monotone pruning saves.
+    ``support_evaluations`` counts the extensions within μ, each of
+    which intersects the running support state with one more sensor.
     """
 
     support_evaluations: int = 0
@@ -134,12 +134,7 @@ class SearchStats:
     pruned_by_mu: int = 0
     hit_max_sensors: int = 0
     emitted: int = 0
-    extra: dict = field(default_factory=dict)
 
     def merge(self, other: "SearchStats") -> None:
-        self.support_evaluations += other.support_evaluations
-        self.nodes_expanded += other.nodes_expanded
-        self.pruned_by_support += other.pruned_by_support
-        self.pruned_by_mu += other.pruned_by_mu
-        self.hit_max_sensors += other.hit_max_sensors
-        self.emitted += other.emitted
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

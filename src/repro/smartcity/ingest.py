@@ -7,8 +7,9 @@ yields 10,000-line chunks; each chunk is 'POSTed' (a function call) to
 the ingestor, which accumulates normalized chunks and finally registers
 the dataset in the :class:`~repro.store.datasets.DatasetStore` as the
 two internal relations. Timestamps are validated against the
-synchronized grid and converted to the tick index; literal ``null``
-measurements become NaN.
+synchronized grid, which must be full (one row per sensor and tick),
+and converted to the tick index; literal ``null`` measurements become
+NaN.
 """
 from __future__ import annotations
 
@@ -78,12 +79,16 @@ class ChunkedUploader:
 
     def commit(self, locations: pd.DataFrame, attributes: list[str]) -> dict:
         """Finalize: convert timestamps → ticks, persist, return stats.
-        Raises ``ValueError``, before saving, for an attribute missing
-        from attribute.csv, an id missing from location.csv, or two rows
-        with the same (id, time): supports count each tick once."""
+        Raises ``ValueError``, before saving, for an empty data.csv, an
+        attribute missing from attribute.csv, an id missing from
+        location.csv, two rows with the same (id, time) (supports count
+        each tick once), or a missing (id, time) row (evolving
+        timestamps diff consecutive ticks)."""
         if not self._chunks:
             raise ValueError("no chunks received")
         data = pd.concat(self._chunks, ignore_index=True)
+        if data.empty:
+            raise ValueError("data.csv has no rows")
         unknown = set(data["attribute"]) - set(attributes)
         if unknown:
             raise ValueError(f"data.csv attributes not in attribute.csv: {sorted(unknown)}")
@@ -101,6 +106,13 @@ class ChunkedUploader:
         twice = data.loc[readings.duplicated(["sensor_id", "t"]), ["id", "time"]]
         if len(twice):
             raise ValueError(f"data.csv has duplicate (id, time) rows: {twice.values[:3].tolist()}")
+        # without duplicates, a full sensors × ticks grid has exactly this many rows
+        n_ids, n_ticks = readings["sensor_id"].nunique(), int(readings["t"].max()) + 1
+        if len(readings) != n_ids * n_ticks:
+            raise ValueError(
+                f"data.csv has {n_ids * n_ticks - len(readings)} missing (id, time) rows: "
+                f"expected {n_ids} ids × {n_ticks} ticks"
+            )
         self.store.save(
             self.name,
             self.spark.createDataFrame(readings, schema=READINGS_SCHEMA),

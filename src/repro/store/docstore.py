@@ -7,8 +7,9 @@ operations MISCELA-V actually needs are schemaless insert and
 equality-filtered find — provided here as one directory per collection
 with one JSON file per document. Atomicity is per-document via
 write-to-temp + rename, which is all a single-node demo server needs.
-A document id is a file name, so ids outside ``[A-Za-z0-9_-]+`` raise
-``ValueError`` before any file is touched.
+A collection name is a directory and a document id a file name, so
+names and ids outside ``[A-Za-z0-9_-]+`` raise ``ValueError`` before
+any file is touched.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import uuid
 from pathlib import Path
 from typing import Iterator
 
-# a document id becomes a file name: anything else could leave the collection
+# a collection name or document id becomes a path part: anything else could leave the store
 _DOC_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
@@ -31,7 +32,7 @@ class DocumentStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _collection(self, name: str) -> Path:
-        if not name or any(ch in name for ch in "/\\.."):
+        if not _DOC_ID.fullmatch(name):
             raise ValueError(f"bad collection name: {name!r}")
         path = self.root / name
         path.mkdir(exist_ok=True)

@@ -9,8 +9,7 @@ three miners that provably return the same CAPs:
 * **naive**   — raw η-graph, no support pruning (the fully naive
   search the MDM paper's baselines approximate).
 
-Rows report search wall-time, nodes expanded and support evaluations
-per ψ. The *shape* to match: miscela ≤ no-prune ≤ naive in work, with
+Rows report search wall-time and nodes expanded per ψ. The *shape* to match: miscela ≤ no-prune ≤ naive in work, with
 the gap widening as ψ grows (more pruning opportunity).
 """
 from __future__ import annotations

@@ -160,6 +160,26 @@ class TestUploadEndToEnd:
             up.commit(self.LOCATIONS, ["temperature"])
         assert store.names() == []
 
+    def test_empty_data_csv_rejected(self, spark, tmp_path):
+        store, up = self._uploader(spark, tmp_path, [])
+        with pytest.raises(ValueError, match="data.csv has no rows"):
+            up.commit(self.LOCATIONS, ["temperature"])
+        assert store.names() == []
+
+    def test_missing_id_time_row_rejected(self, spark, bundle_dir, tmp_path):
+        # one reading dropped from the middle of a sensor's series leaves a gap
+        out, _ = bundle_dir
+        gap = tmp_path / "gap"
+        gap.mkdir()
+        for name in ("location.csv", "attribute.csv"):
+            (gap / name).write_text((out / name).read_text())
+        lines = (out / "data.csv").read_text().splitlines(keepends=True)
+        (gap / "data.csv").write_text("".join(lines[:10] + lines[11:]))
+        store = DatasetStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=r"1 missing \(id, time\) rows"):
+            upload_csv_bundle(spark, store, "covid", gap)
+        assert store.names() == []
+
     def test_id_missing_from_location_csv_rejected(self, spark, tmp_path):
         store, up = self._uploader(spark, tmp_path, [
             ["0", "temperature", "2020-01-01 00:00:00", 1.0],

@@ -3,7 +3,7 @@ exponential brute-force oracle, pruning soundness, and instrumentation."""
 import pytest
 
 from repro.core.search import brute_force_caps, search_component, support
-from repro.core.types import CAP, MiscelaParams
+from repro.core.types import CAP, MiscelaParams, SearchStats
 from tests.helpers import random_graph_instance
 
 # a tiny fixed instance used by several tests:
@@ -116,15 +116,51 @@ class TestFuzzAgainstBruteForce:
         caps, _ = search_component(attrs, adj, epos, eneg, _params(psi=1, max_sensors=4))
         assert len(caps) == len({c.sensors for c in caps})
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_unpruned_baseline_identical_output(self, seed):
+    @pytest.mark.parametrize(
+        ("seed", "same_direction"),
+        [pytest.param(seed, False, id=str(seed)) for seed in range(8)]
+        + [pytest.param(seed, True, id=f"{seed}-same_direction") for seed in range(8)],
+    )
+    def test_unpruned_baseline_identical_output(self, seed, same_direction):
         attrs, adj, epos, eneg = random_graph_instance(seed + 50)
-        p = _params(psi=3, max_sensors=4)
+        p = _params(psi=3, max_sensors=4, same_direction=same_direction)
         pruned, s1 = search_component(attrs, adj, epos, eneg, p, prune_support=True)
         unpruned, s2 = search_component(attrs, adj, epos, eneg, p, prune_support=False)
         assert _as_set(pruned) == _as_set(unpruned)
         # pruning explores at most as many nodes as the full lattice
         assert s1.nodes_expanded <= s2.nodes_expanded
+
+
+class TestCountersPinned:
+    """Exact ``SearchStats`` on fixed inputs: every counter of the pruned
+    search, and the enumeration counters of the unpruned one."""
+
+    RANDOM = dict(seed=7, n=9, n_attrs=4, edge_prob=0.5)
+
+    def _random_stats(self, prune_support):
+        attrs, adj, epos, eneg = random_graph_instance(**self.RANDOM)
+        p = _params(psi=2, mu=2, max_sensors=4)
+        return search_component(attrs, adj, epos, eneg, p, prune_support=prune_support)[1]
+
+    def test_fixed_instance_pruned(self):
+        _, stats = search_component(ATTRS, ADJ, EPOS, ENEG, _params(psi=2))
+        assert stats == SearchStats(support_evaluations=3, nodes_expanded=7, pruned_by_support=0,
+                                    pruned_by_mu=0, hit_max_sensors=0, emitted=3)
+
+    def test_random_instance_pruned(self):
+        assert self._random_stats(True) == SearchStats(
+            support_evaluations=78, nodes_expanded=55, pruned_by_support=32,
+            pruned_by_mu=45, hit_max_sensors=6, emitted=39)
+
+    def test_fixed_instance_unpruned(self):
+        _, stats = search_component(ATTRS, ADJ, EPOS, ENEG, _params(psi=2), prune_support=False)
+        assert (stats.nodes_expanded, stats.pruned_by_mu, stats.hit_max_sensors,
+                stats.emitted) == (7, 0, 0, 3)
+
+    def test_random_instance_unpruned(self):
+        stats = self._random_stats(False)
+        assert (stats.nodes_expanded, stats.pruned_by_mu, stats.hit_max_sensors,
+                stats.emitted) == (102, 50, 29, 39)
 
 
 class TestMonotonicity:

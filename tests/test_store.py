@@ -46,9 +46,9 @@ class TestDocumentStore:
         db.insert("c1", {"v": 1}, doc_id="k")
         assert db.get("c2", "k") is None
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a.b"])
+    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "a.b", "..", "a b"])
     def test_bad_collection_names_rejected(self, tmp_path, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad collection name"):
             DocumentStore(tmp_path).insert(bad, {})
 
     @pytest.mark.parametrize("bad", ["../x", "a/b", "a\\b", "a.b", "..", "x y"])

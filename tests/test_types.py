@@ -108,4 +108,4 @@ class TestSearchStats:
 
     def test_defaults_zero(self):
         s = SearchStats()
-        assert s.support_evaluations == 0 and s.emitted == 0 and s.extra == {}
+        assert all(getattr(s, f.name) == 0 for f in dataclasses.fields(s))
