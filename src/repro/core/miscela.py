@@ -1,15 +1,15 @@
 """MISCELA: the full 4-step CAP mining pipeline (paper §2.2).
 
 :func:`mine_caps` is the one mining entry point. Spark runs only what
-scales with readings (sensors × ticks): linear segmentation and
-evolving-timestamp extraction. One job then gathers, per active sensor
-(≥ ψ evolving timestamps), its evolving timestamps split by direction
-(:func:`repro.core.evolving.evolving_sets`), and one collect brings the
-locations. Everything after that scales with sensors and runs on the
-driver: the η-neighbor graph by a latitude band sweep
-(:func:`repro.core.spatial.neighbor_pairs`), the pairwise supports by
-the search's own set intersection (:func:`repro.core.search.support`),
-union-find components
+scales with readings (sensors × ticks), in one pass: an Arrow grouped
+map per sensor segments the series, extracts its evolving timestamps
+and returns them split by direction, for the active sensors only
+(≥ ψ evolving timestamps; :func:`repro.core.evolving.gather_evolving`).
+One collect then brings the locations. Everything after that scales
+with sensors and runs on the driver: the η-neighbor graph by a latitude
+band sweep (:func:`repro.core.spatial.neighbor_pairs`), the pairwise
+supports by the search's own set intersection
+(:func:`repro.core.search.support`), union-find components
 (:mod:`repro.core.components`) and :func:`search_component` once per
 component (DESIGN.md §3).
 
@@ -32,9 +32,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.components import union_find
-from repro.core.evolving import evolving_sets, extract_evolving
+from repro.core.evolving import gather_evolving
 from repro.core.search import search_component, support
-from repro.core.segmentation import smooth_readings
 from repro.core.spatial import neighbor_pairs
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
@@ -113,15 +112,14 @@ def mine_caps(
         the same; their component labels come from the η-graph.
 
     ``timings`` holds one wall time per stage: ``segment_and_extract_s``
-    (including the gather of the evolving timestamps), ``spatial_join_s``
-    (the locations, the η-graph and the pair supports), ``search_s``
-    (components and the search) and ``caps_frame_s`` (the CAP list into
-    ``caps``).
+    (the one Spark pass of steps 1–2, with its gather to the driver),
+    ``spatial_join_s`` (the locations, the η-graph and the pair
+    supports), ``search_s`` (components and the search) and
+    ``caps_frame_s`` (the CAP list into ``caps``).
     """
     timings: dict = {}
     t0 = time.perf_counter()
-    smoothed = smooth_readings(readings, params.segment_tolerance)
-    epos, eneg = evolving_sets(extract_evolving(smoothed, params.epsilon), params.psi)
+    epos, eneg = gather_evolving(readings, params)
     timings["segment_and_extract_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -15,10 +15,19 @@ Before segmenting, each sensor series is min-max normalized to [0, 1]
 null measurements in data.csv; edge nulls are back/forward filled). A
 constant series normalizes to all-zeros, i.e. it never evolves.
 
-The numpy kernel :func:`segment_series` is the single source of truth;
-the distributed path wraps it in ``applyInPandas`` grouped by sensor.
+The numpy kernel :func:`segment_series` is the single source of truth.
+The mine path runs it inside the per-sensor Arrow pass of
+:func:`repro.core.evolving.gather_evolving`; :func:`smooth_readings`
+wraps it in ``applyInPandas`` for callers that need the smoothed series
+as a frame. Its cost is numpy call overhead on small arrays, so each
+fit reuses the x side computed once per window length and a segment
+keeps its last accepted fit instead of refitting it; both change no
+bit of the output (``tests/helpers.ref_segment_series`` holds the plain
+version it is checked against).
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -43,19 +52,30 @@ def normalize_series(values: np.ndarray) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares line through (xs, ys) → (fitted values, max |resid|)."""
-    if len(xs) <= 2:
-        return ys.copy(), 0.0
-    x0 = xs - xs[0]
-    denom = float(np.dot(x0, x0) - len(x0) * (x0.mean() ** 2))
-    if denom == 0:
-        fitted = np.full_like(ys, ys.mean())
-    else:
-        slope = float(np.dot(x0 - x0.mean(), ys - ys.mean())) / denom
-        intercept = float(ys.mean() - slope * x0.mean())
-        fitted = intercept + slope * x0
-    return fitted, float(np.max(np.abs(fitted - ys)))
+@lru_cache(maxsize=256)
+def _x_side(k: int) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """The x side of a least-squares fit over k points: ``x = 0..k-1``,
+    its mean ``(k-1)/2``, the centred x and the denominator
+    ``Σx² − k·mean²``. Every value is exact in float64, so computing
+    them once per k changes no bit of any fit. The arrays are shared by
+    every caller, so they are read-only."""
+    x = np.arange(k, dtype="float64")
+    xm = x.mean()
+    xc = x - xm
+    x.flags.writeable = xc.flags.writeable = False
+    return x, xm, xc, float(np.dot(x, x) - k * (xm ** 2))
+
+
+def _fit_line(ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares line through ``(0..k-1, ys)`` for k ≥ 3 →
+    (fitted values, max |resid|)."""
+    x, xm, xc, denom = _x_side(len(ys))
+    ym = np.add.reduce(ys) / len(ys)  # ys.mean() without its Python wrapper
+    slope = float(np.dot(xc, ys - ym)) / denom
+    intercept = float(ym - slope * xm)
+    fitted = intercept + slope * x
+    resid = fitted - ys
+    return fitted, np.maximum.reduce(np.absolute(resid, out=resid))
 
 
 def segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
@@ -65,7 +85,10 @@ def segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
     binary-searches the largest end still within ``tolerance`` —
     O(n log n) fits overall instead of O(n²) for grow-by-one. The max
     residual is not monotone in window length, so the segments can
-    differ from grow-by-one's (ROADMAP item 3).
+    differ from grow-by-one's (ROADMAP item 3). A segment's output is
+    the fit of the last probe that was accepted, so no slice is fitted
+    twice; a segment no probe extends (two points, or the last point)
+    is copied as is.
     ``tolerance <= 0`` returns the series unchanged (smoothing off).
     """
     v = np.asarray(values, dtype="float64")
@@ -73,30 +96,26 @@ def segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
     if tolerance <= 0 or n <= 2:
         return v.copy()
     out = np.empty(n)
-    xs = np.arange(n, dtype="float64")
     start = 0
     while start < n:
-        lo = min(start + 2, n)  # a 2-point segment always fits exactly
-        hi = lo
+        hi = min(start + 2, n)  # a 2-point segment always fits exactly
+        fitted = v[start:hi]
         while hi < n:  # exponential probe for the first failing end
-            nxt = min(n, start + 2 * max(1, hi - start))
-            if nxt == hi:
-                break
-            _, err = _fit_line(xs[start:nxt], v[start:nxt])
+            nxt = min(n, start + 2 * (hi - start))
+            probe, err = _fit_line(v[start:nxt])
             if err <= tolerance:
-                hi = nxt
+                hi, fitted = nxt, probe
             else:
                 # binary search in (hi, nxt] for last fitting end
                 bad = nxt
                 while hi + 1 < bad:
                     mid = (hi + bad) // 2
-                    _, err = _fit_line(xs[start:mid], v[start:mid])
+                    probe, err = _fit_line(v[start:mid])
                     if err <= tolerance:
-                        hi = mid
+                        hi, fitted = mid, probe
                     else:
                         bad = mid
                 break
-        fitted, _ = _fit_line(xs[start:hi], v[start:hi])
         out[start:hi] = fitted
         start = hi
     return out

@@ -126,6 +126,79 @@ def ref_evolving(readings_pdf: pd.DataFrame, tolerance: float, epsilon: float) -
     return pd.DataFrame(rows, columns=["sensor_id", "t", "direction"])
 
 
+def _ref_fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares line through (xs, ys) → (fitted values, max |resid|)."""
+    if len(xs) <= 2:
+        return ys.copy(), 0.0
+    x0 = xs - xs[0]
+    denom = float(np.dot(x0, x0) - len(x0) * (x0.mean() ** 2))
+    if denom == 0:
+        fitted = np.full_like(ys, ys.mean())
+    else:
+        slope = float(np.dot(x0 - x0.mean(), ys - ys.mean())) / denom
+        intercept = float(ys.mean() - slope * x0.mean())
+        fitted = intercept + slope * x0
+    return fitted, float(np.max(np.abs(fitted - ys)))
+
+
+def ref_segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
+    """Frozen reference of ``segment_series``: the current spec
+    (doubling, then binary search for the segment end, one plain
+    least-squares fit per probe) as the kernel computed it before its
+    fits were made cheaper, kept verbatim so the kernel is held to it
+    bit for bit. When ROADMAP item 3 changes the spec to the classic
+    grow-by-one sliding window, a grow-by-one oracle replaces it."""
+    v = np.asarray(values, dtype="float64")
+    n = len(v)
+    if tolerance <= 0 or n <= 2:
+        return v.copy()
+    out = np.empty(n)
+    xs = np.arange(n, dtype="float64")
+    start = 0
+    while start < n:
+        lo = min(start + 2, n)  # a 2-point segment always fits exactly
+        hi = lo
+        while hi < n:  # exponential probe for the first failing end
+            nxt = min(n, start + 2 * max(1, hi - start))
+            if nxt == hi:
+                break
+            _, err = _ref_fit_line(xs[start:nxt], v[start:nxt])
+            if err <= tolerance:
+                hi = nxt
+            else:
+                # binary search in (hi, nxt] for last fitting end
+                bad = nxt
+                while hi + 1 < bad:
+                    mid = (hi + bad) // 2
+                    _, err = _ref_fit_line(xs[start:mid], v[start:mid])
+                    if err <= tolerance:
+                        hi = mid
+                    else:
+                        bad = mid
+                break
+        fitted, _ = _ref_fit_line(xs[start:hi], v[start:hi])
+        out[start:hi] = fitted
+        start = hi
+    return out
+
+
+def fuzz_series(seed: int) -> tuple[np.ndarray, float]:
+    """One seeded (series, tolerance) case for segmentation fuzzing:
+    uniform noise, a random walk, or step plateaus with 1e-3 noise, of
+    length 3–900, at a tolerance in {0, 0.005, 0.02, 0.05, 0.2}."""
+    g = np.random.default_rng(seed)
+    n = int(g.integers(3, 901))
+    kind = seed % 3
+    if kind == 0:
+        v = g.random(n)
+    elif kind == 1:
+        v = np.cumsum(g.normal(0, 0.05, n))
+    else:
+        levels = g.random(int(g.integers(1, 12)))
+        v = levels[np.sort(g.integers(0, len(levels), n))] + g.normal(0, 1e-3, n)
+    return v, float(g.choice([0.0, 0.005, 0.02, 0.05, 0.2]))
+
+
 def random_graph_instance(seed: int, n: int = 8, n_attrs: int = 3, n_ticks: int = 25,
                           edge_prob: float = 0.45, evolve_prob: float = 0.4):
     """Random (attributes, adjacency, epos, eneg) for search-kernel

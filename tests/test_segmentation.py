@@ -9,7 +9,13 @@ from repro.core.segmentation import (
     segment_series,
     smooth_readings,
 )
-from tests.helpers import scene_readings_pdf, scene_spark, step_series
+from tests.helpers import (
+    fuzz_series,
+    ref_segment_series,
+    scene_readings_pdf,
+    scene_spark,
+    step_series,
+)
 
 
 class TestNormalizeSeries:
@@ -88,6 +94,23 @@ class TestSegmentSeries:
         for seed in range(5):
             v = np.random.default_rng(seed).random(73)
             assert len(segment_series(v, 0.08)) == 73
+
+
+class TestSegmentSeriesBitIdentity:
+    """The kernel against the frozen reference of its spec, compared
+    with ``array_equal``: the fast fit must not move a single bit."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_fuzz_equals_reference(self, block):
+        for seed in range(block * 250, (block + 1) * 250):
+            v, tol = fuzz_series(seed)
+            assert np.array_equal(segment_series(v, tol), ref_segment_series(v, tol)), seed
+
+    def test_scene_and_lengths_equal_reference(self):
+        v = step_series((5, 10, 15, 20)) + np.random.default_rng(3).normal(0, 0.01, 30)
+        for n in range(1, 30):
+            for tol in (0.005, 0.02, 0.05):
+                assert np.array_equal(segment_series(v[:n], tol), ref_segment_series(v[:n], tol))
 
 
 class TestSmoothReadingsDistributed:
