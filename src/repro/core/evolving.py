@@ -10,8 +10,8 @@ step. :func:`gather_evolving` is the mine path: one Arrow grouped map
 per sensor runs steps 1–2 on the readings and sends to the driver only
 the evolving ticks of the sensors that can reach ψ. The frame functions
 :func:`extract_evolving`, :func:`evolving_sets` and
-:func:`active_sensors` expose the same stage as relations, for the
-tables and for timing each step on its own.
+:func:`active_sensors` expose the same stage as relations, for timing
+each step on its own.
 """
 from __future__ import annotations
 

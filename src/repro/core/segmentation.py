@@ -37,16 +37,20 @@ SMOOTHED_SCHEMA = "sensor_id string, t long, value double, smoothed double"
 
 
 def normalize_series(values: np.ndarray) -> np.ndarray:
-    """Min-max normalize to [0,1] after interpolating interior nulls.
+    """Min-max normalize to [0,1] after filling nulls as pandas'
+    ``interpolate(limit_direction="both")`` does, by the same ``np.interp``:
+    linearly by position inside, with the nearest value at the edges.
 
     Returns float64; a constant (or all-null) series maps to zeros.
     """
-    v = pd.Series(np.asarray(values, dtype="float64"))
-    v = v.interpolate(method="linear", limit_direction="both")
-    v = v.to_numpy()
-    if np.all(np.isnan(v)):
+    v = np.array(values, dtype="float64")
+    null = np.isnan(v)
+    if null.all():
         return np.zeros_like(v)
-    lo, hi = np.nanmin(v), np.nanmax(v)
+    if null.any():
+        at = np.arange(len(v))
+        v[null] = np.interp(at[null], at[~null], v[~null])
+    lo, hi = v.min(), v.max()
     if hi - lo <= 0:
         return np.zeros_like(v)
     return (v - lo) / (hi - lo)

@@ -18,6 +18,9 @@ and the MISCELA miner. Here the same endpoints are plain methods on
 * ``map_payload`` / ``timeseries_payload`` — the two views of Figure 3,
   built by :mod:`repro.viz.payload`.
 
+Spark runs only a ``mine`` that misses the cache: the upload writes the
+stored files with pyarrow, and the views read them with pyarrow.
+
 A re-upload empties the cache slot. The cached documents stay keyed by
 (dataset name, parameters), so a re-upload of other data is still served
 the old CAPs (ROADMAP 4a).
@@ -35,6 +38,7 @@ from repro.core.types import CAP, MiscelaParams, SearchStats
 from repro.smartcity.ingest import upload_csv_bundle
 from repro.store.cache import CapCache
 from repro.store.datasets import DatasetStore
+from repro.viz.payload import build_map_payload, build_timeseries_payload
 
 
 @dataclass
@@ -68,7 +72,7 @@ class MiscelaApi:
         """Upload a CSV bundle under ``name``; re-uploading overwrites."""
         self.cache.drop()
         return upload_csv_bundle(
-            self.spark, self.store, name, csv_dir,
+            self.store, name, csv_dir,
             chunk_lines=chunk_lines, interval_minutes=interval_minutes,
         )
 
@@ -123,17 +127,12 @@ class MiscelaApi:
     # ---- Figure-3 payloads ------------------------------------------
     def map_payload(self, dataset: str, params: MiscelaParams,
                     clicked: str | None = None) -> dict:
-        from repro.viz.payload import build_map_payload
-
         caps = self.mine(dataset, params).caps
         highlight = set(self._correlated(caps, clicked)) | {clicked} if clicked else set()
-        return build_map_payload(self.store.load_locations(self.spark, dataset), caps,
-                                 highlight)
+        return build_map_payload(self.store.files(dataset)[1], caps, highlight)
 
     def timeseries_payload(self, dataset: str, sensor_ids: list[str],
                            t_min: int | None = None, t_max: int | None = None) -> dict:
-        from repro.viz.payload import build_timeseries_payload
-
-        readings, _, doc = self.store.load(self.spark, dataset)
+        readings, _, doc = self.store.files(dataset)
         return build_timeseries_payload(readings, sensor_ids, doc["meta"],
                                         t_min=t_min, t_max=t_max)

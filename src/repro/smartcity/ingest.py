@@ -17,22 +17,15 @@ from pathlib import Path
 from typing import Iterator
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
-from repro.smartcity.schema import (
-    DATA_CSV_HEADER,
-    LOCATION_CSV_HEADER,
-    LOCATIONS_SCHEMA,
-    READINGS_SCHEMA,
-    timestamps_to_ticks,
-)
+from repro.smartcity.schema import DATA_CSV_HEADER, LOCATION_CSV_HEADER, timestamps_to_ticks
 from repro.store.datasets import DatasetStore
 
 CHUNK_LINES = 10_000
 
 
 def read_location_csv(path: str | Path) -> pd.DataFrame:
-    pdf = pd.read_csv(path, dtype={"id": str})
+    pdf = pd.read_csv(path, dtype={"id": str, "attribute": str})
     missing = set(LOCATION_CSV_HEADER) - set(pdf.columns)
     if missing:
         raise ValueError(f"location.csv missing columns: {sorted(missing)}")
@@ -48,7 +41,7 @@ def read_attribute_csv(path: str | Path) -> list[str]:
 def iter_data_chunks(path: str | Path, chunk_lines: int = CHUNK_LINES) -> Iterator[pd.DataFrame]:
     """Yield data.csv in ``chunk_lines``-row chunks (paper: 10,000)."""
     for chunk in pd.read_csv(
-        path, dtype={"id": str}, na_values=["null"], keep_default_na=True,
+        path, dtype={"id": str, "attribute": str}, na_values=["null"], keep_default_na=True,
         chunksize=chunk_lines,
     ):
         missing = set(DATA_CSV_HEADER) - set(chunk.columns)
@@ -64,9 +57,7 @@ class ChunkedUploader:
     accumulation before the dataset is committed to the store.
     """
 
-    def __init__(self, spark: SparkSession, store: DatasetStore, name: str,
-                 interval_minutes: int = 60):
-        self.spark = spark
+    def __init__(self, store: DatasetStore, name: str, interval_minutes: int = 60):
         self.store = store
         self.name = name
         self.interval_minutes = interval_minutes
@@ -79,27 +70,34 @@ class ChunkedUploader:
 
     def commit(self, locations: pd.DataFrame, attributes: list[str]) -> dict:
         """Finalize: convert timestamps → ticks, persist, return stats.
-        Raises ``ValueError``, before saving, for an empty data.csv, an
-        attribute missing from attribute.csv, an id missing from
-        location.csv, two rows with the same (id, time) (supports count
-        each tick once), or a missing (id, time) row (evolving
-        timestamps diff consecutive ticks)."""
+        Raises ``ValueError``, before saving, for an empty data.csv; for
+        a location.csv with a duplicate id, an attribute missing from
+        attribute.csv, or a lat/lon that is not a finite number in range;
+        for a data.csv row whose id is missing from location.csv or whose
+        attribute differs from its id's there; for two rows with the same
+        (id, time) (supports count each tick once); or for a missing
+        (id, time) row (evolving timestamps diff consecutive ticks)."""
         if not self._chunks:
             raise ValueError("no chunks received")
         data = pd.concat(self._chunks, ignore_index=True)
         if data.empty:
             raise ValueError("data.csv has no rows")
-        unknown = set(data["attribute"]) - set(attributes)
-        if unknown:
-            raise ValueError(f"data.csv attributes not in attribute.csv: {sorted(unknown)}")
-        unplaced = set(data["id"]) - set(locations["sensor_id"])
+        locations = _checked_locations(locations, attributes)
+        # each row's attribute must be its id's, which is in attribute.csv
+        attribute = data["id"].map(dict(zip(locations["sensor_id"], locations["attribute"])))
+        unplaced = set(data.loc[attribute.isna(), "id"])
         if unplaced:
             raise ValueError(f"data.csv ids not in location.csv: {sorted(unplaced)}")
-        start = str(pd.to_datetime(data["time"]).min())
+        mismatched = data.loc[attribute != data["attribute"], ["id", "attribute"]]
+        if len(mismatched):
+            raise ValueError(f"data.csv rows whose attribute differs from location.csv: "
+                             f"{mismatched.drop_duplicates().values[:3].tolist()}")
+        times = pd.to_datetime(data["time"])
+        start = str(times.min())
         readings = pd.DataFrame(
             {
                 "sensor_id": data["id"],
-                "t": timestamps_to_ticks(data["time"], start, self.interval_minutes),
+                "t": timestamps_to_ticks(times, start, self.interval_minutes),
                 "value": pd.to_numeric(data["data"], errors="coerce"),
             }
         )
@@ -115,8 +113,8 @@ class ChunkedUploader:
             )
         self.store.save(
             self.name,
-            self.spark.createDataFrame(readings, schema=READINGS_SCHEMA),
-            self.spark.createDataFrame(locations, schema=LOCATIONS_SCHEMA),
+            readings,
+            locations,
             attributes,
             meta={
                 "start": start,
@@ -129,8 +127,27 @@ class ChunkedUploader:
                 "start": start}
 
 
+def _checked_locations(locations: pd.DataFrame, attributes: list[str]) -> pd.DataFrame:
+    """``locations`` with numeric lat/lon, after the §3.2 checks of
+    location.csv: each id once, each attribute in attribute.csv, each
+    lat/lon a finite number in range."""
+    twice = locations.loc[locations["sensor_id"].duplicated(), "sensor_id"]
+    if len(twice):
+        raise ValueError(f"location.csv has duplicate ids: {sorted(set(twice))[:3]}")
+    unknown = set(locations["attribute"]) - set(attributes)
+    if unknown:
+        raise ValueError(f"location.csv attributes not in attribute.csv: {sorted(unknown)}")
+    lat = pd.to_numeric(locations["lat"], errors="coerce")
+    lon = pd.to_numeric(locations["lon"], errors="coerce")
+    # NaN (not a number) and ±inf fail every comparison that `ok` needs
+    ok = (lat.abs() <= 90) & (lon.abs() <= 180)
+    if not ok.all():
+        raise ValueError(f"location.csv lat/lon not finite numbers in range for ids: "
+                         f"{locations.loc[~ok, 'sensor_id'].tolist()[:3]}")
+    return locations.assign(lat=lat, lon=lon)
+
+
 def upload_csv_bundle(
-    spark: SparkSession,
     store: DatasetStore,
     name: str,
     directory: str | Path,
@@ -139,7 +156,7 @@ def upload_csv_bundle(
 ) -> dict:
     """End-to-end upload of a §3.2 CSV bundle directory."""
     directory = Path(directory)
-    uploader = ChunkedUploader(spark, store, name, interval_minutes)
+    uploader = ChunkedUploader(store, name, interval_minutes)
     for chunk in iter_data_chunks(directory / "data.csv", chunk_lines):
         uploader.receive_chunk(chunk)
     return uploader.commit(

@@ -9,7 +9,9 @@ The demo requires three files per dataset:
 
 Internally everything becomes two relations (DESIGN.md §3): long-format
 ``readings (sensor_id, t, value)`` on a synchronized tick index and
-``locations (sensor_id, attribute, lat, lon)``. Helpers here convert
+``locations (sensor_id, attribute, lat, lon)``. Their column types are
+defined once, as Arrow schemas: the upload casts to them when it writes,
+and Spark reads with the schemas derived from them. Helpers here convert
 both ways so the ingest tests can round-trip the paper's exact formats.
 """
 from __future__ import annotations
@@ -17,9 +19,15 @@ from __future__ import annotations
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
+from pyspark.sql.pandas.types import from_arrow_schema
 
-READINGS_SCHEMA = "sensor_id string, t long, value double"
-LOCATIONS_SCHEMA = "sensor_id string, attribute string, lat double, lon double"
+READINGS_ARROW = pa.schema({"sensor_id": pa.string(), "t": pa.int64(), "value": pa.float64()})
+LOCATIONS_ARROW = pa.schema(
+    {"sensor_id": pa.string(), "attribute": pa.string(), "lat": pa.float64(), "lon": pa.float64()}
+)
+READINGS_SCHEMA = from_arrow_schema(READINGS_ARROW)
+LOCATIONS_SCHEMA = from_arrow_schema(LOCATIONS_ARROW)
 
 DATA_CSV_HEADER = ["id", "attribute", "time", "data"]
 LOCATION_CSV_HEADER = ["id", "attribute", "lat", "lon"]
@@ -38,15 +46,15 @@ def ticks_to_timestamps(
 def timestamps_to_ticks(
     times: pd.Series, start: str, interval_minutes: int
 ) -> pd.Series:
-    """Wall-clock timestamps → tick index; raises if a timestamp is not
-    on the synchronized grid (paper §3.2: 'timestamps must be the same
-    time intervals')."""
+    """Wall-clock timestamps, as strings or already parsed → tick index;
+    raises if a timestamp is not on the synchronized grid (paper §3.2:
+    'timestamps must be the same time intervals')."""
     base = pd.Timestamp(start)
     deltas = pd.to_datetime(times) - base
     minutes = deltas / pd.Timedelta(minutes=1)
     ticks = minutes / interval_minutes
     if not (ticks == ticks.round()).all():
-        bad = times[ticks != ticks.round()].iloc[0]
+        bad = str(times[ticks != ticks.round()].iloc[0])
         raise ValueError(f"timestamp {bad!r} is not on the {interval_minutes}-minute grid")
     return ticks.round().astype("int64")
 

@@ -14,14 +14,15 @@ E–W pairs far exceed N–S pairs in support and co-evolving fraction.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.coevolution import pair_supports
-from repro.core.evolving import extract_evolving
-from repro.core.segmentation import smooth_readings
-from repro.core.spatial import neighbor_edges
+from repro.core.evolving import gather_evolving
+from repro.core.search import support
+from repro.core.spatial import neighbor_pairs
 from repro.core.types import MiscelaParams
 from repro.smartcity import china6
 
@@ -37,40 +38,31 @@ def run(
     params: MiscelaParams = PARAMS,
 ) -> pd.DataFrame:
     d = china6(spark, scale=scale, seed=seed)
-    smoothed = smooth_readings(d.readings, params.segment_tolerance)
-    evolving = extract_evolving(smoothed, params.epsilon).cache()
-    edges = neighbor_edges(d.locations, params.eta_meters)
+    # at ψ = 1 every sensor with an evolving tick is kept; one without
+    # has support 0 with every other sensor, which `support` gives too
+    epos, eneg = gather_evolving(d.readings, replace(params, psi=1))
+    loc = d.locations.toPandas()
+    pairs = neighbor_pairs(loc, params.eta_meters)
 
     # orientation from the location deltas; 3x factor separates grid
     # rows (Δlat ≈ 0) from grid columns (Δlon ≈ 0); co-located
     # same-station pairs (different attributes) are their own class
-    loc = d.locations.select("sensor_id", "lat", "lon")
-    e = (
-        edges.join(loc.toDF("src", "src_lat", "src_lon"), on="src")
-        .join(loc.toDF("dst", "dst_lat", "dst_lon"), on="dst")
-        .withColumn("dlat", F.abs(F.col("src_lat") - F.col("dst_lat")))
-        .withColumn("dlon", F.abs(F.col("src_lon") - F.col("dst_lon")))
-        .withColumn(
-            "orientation",
-            F.when((F.col("dlat") < 1e-9) & (F.col("dlon") < 1e-9), "same_station")
-            .when(F.col("dlon") > 3 * F.col("dlat"), "east_west")
-            .when(F.col("dlat") > 3 * F.col("dlon"), "north_south")
-            .otherwise("diagonal"),
-        )
+    at = loc.set_index("sensor_id")
+    dlat = (pairs["src"].map(at["lat"]) - pairs["dst"].map(at["lat"])).abs()
+    dlon = (pairs["src"].map(at["lon"]) - pairs["dst"].map(at["lon"])).abs()
+    pairs["orientation"] = np.select(
+        [(dlat < 1e-9) & (dlon < 1e-9), dlon > 3 * dlat, dlat > 3 * dlon],
+        ["same_station", "east_west", "north_south"],
+        "diagonal",
     )
-    sup = pair_supports(evolving, edges)
-    merged = e.join(sup, on=["src", "dst"], how="left").fillna({"support": 0})
-    out = (
-        merged.groupBy("orientation")
-        .agg(
-            F.count("*").alias("n_pairs"),
-            F.round(F.avg("support"), 2).alias("mean_support"),
-            F.round(
-                F.avg((F.col("support") >= params.psi).cast("double")), 3
-            ).alias("coevolving_frac"),
-        )
-        .orderBy("orientation")
-        .toPandas()
+    pairs["support"] = [
+        support(pair, epos, eneg, same_direction=False)
+        for pair in zip(pairs["src"], pairs["dst"])
+    ]
+    pairs["coevolving"] = pairs["support"] >= params.psi
+    out = pairs.groupby("orientation", as_index=False).agg(
+        n_pairs=("support", "size"),
+        mean_support=("support", "mean"),
+        coevolving_frac=("coevolving", "mean"),
     )
-    evolving.unpersist()
-    return out
+    return out.round({"mean_support": 2, "coevolving_frac": 3})

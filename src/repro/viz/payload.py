@@ -6,19 +6,25 @@ clicked sensors' measurements. Rendering is out of scope (figures are
 excluded by the brief); these builders produce exactly the JSON a front
 end would bind: markers with lat/lon/attribute/highlight flags and CAP
 membership, and per-sensor series clipped to a zoom window.
+
+A view holds a few hundred points, so each reads its rows from the
+stored parquet file with pyarrow on the driver and runs no Spark job.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pathlib import Path
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from repro.core.types import CAP
 
 
 def build_map_payload(
-    locations: DataFrame, caps: list[CAP], highlight: set[str] | None = None
+    locations: Path, caps: list[CAP], highlight: set[str] | None = None
 ) -> dict:
-    """Marker list for the map view (Figure 3 A/B).
+    """Marker list for the map view (Figure 3 A/B) from the ``locations`` file.
 
     Each marker carries the indices of the CAPs containing the sensor,
     so the front end can colour patterns; ``highlight`` marks the
@@ -30,15 +36,10 @@ def build_map_payload(
         for s in cap.sensors:
             cap_index.setdefault(s, []).append(i)
     markers = [
-        {
-            "sensor_id": r["sensor_id"],
-            "attribute": r["attribute"],
-            "lat": float(r["lat"]),
-            "lon": float(r["lon"]),
-            "highlighted": r["sensor_id"] in highlight,
-            "caps": cap_index.get(r["sensor_id"], []),
-        }
-        for r in locations.select("sensor_id", "attribute", "lat", "lon").collect()
+        {**r, "highlighted": r["sensor_id"] in highlight,
+         "caps": cap_index.get(r["sensor_id"], [])}
+        for r in pq.read_table(locations, columns=["sensor_id", "attribute", "lat", "lon"])
+        .to_pylist()
     ]
     markers.sort(key=lambda m: m["sensor_id"])
     return {
@@ -49,31 +50,26 @@ def build_map_payload(
 
 
 def build_timeseries_payload(
-    readings: DataFrame,
+    readings: Path,
     sensor_ids: list[str],
     meta: dict,
     t_min: int | None = None,
     t_max: int | None = None,
 ) -> dict:
-    """Series for the chart view (Figure 3 C/D).
+    """Series for the chart view (Figure 3 C/D) from the ``readings`` file.
 
     ``t_min``/``t_max`` clip to a zoom window ("which we can zoom in and
     zoom out"); nulls stay null so the chart can show gaps.
     """
-    df = readings.where(F.col("sensor_id").isin(list(sensor_ids)))
+    rows = pc.field("sensor_id").isin(pa.array(list(sensor_ids), pa.string()))
     if t_min is not None:
-        df = df.where(F.col("t") >= int(t_min))
+        rows &= pc.field("t") >= int(t_min)
     if t_max is not None:
-        df = df.where(F.col("t") <= int(t_max))
+        rows &= pc.field("t") <= int(t_max)
+    table = pq.read_table(readings, columns=["sensor_id", "t", "value"], filters=rows)
     series: dict[str, list] = {s: [] for s in sensor_ids}
-    # a chart holds a few hundred points: ordering them here spares every
-    # chart view a Spark sort and its shuffle
-    rows = df.select("sensor_id", "t", "value").collect()
-    for r in sorted(rows, key=lambda r: r["t"]):
-        v = r["value"]
-        series[r["sensor_id"]].append(
-            {"t": int(r["t"]), "value": None if v is None else float(v)}
-        )
+    for r in table.sort_by("t").to_pylist():
+        series[r["sensor_id"]].append({"t": r["t"], "value": r["value"]})
     return {
         "start": meta.get("start"),
         "interval_minutes": meta.get("interval_minutes"),

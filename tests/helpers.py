@@ -141,6 +141,36 @@ def _ref_fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, float]:
     return fitted, float(np.max(np.abs(fitted - ys)))
 
 
+def ref_normalize_series(values: np.ndarray) -> np.ndarray:
+    """Frozen reference of ``normalize_series``: the pandas version the
+    numpy kernel replaced, kept verbatim so the kernel is held to it bit
+    for bit."""
+    v = pd.Series(np.asarray(values, dtype="float64"))
+    v = v.interpolate(method="linear", limit_direction="both")
+    v = v.to_numpy()
+    if np.all(np.isnan(v)):
+        return np.zeros_like(v)
+    lo, hi = np.nanmin(v), np.nanmax(v)
+    if hi - lo <= 0:
+        return np.zeros_like(v)
+    return (v - lo) / (hi - lo)
+
+
+def fuzz_nulls(seed: int) -> np.ndarray:
+    """One seeded series for null-interpolation fuzzing: length 1–899,
+    0–100 % nulls at random places, sometimes a leading or trailing null
+    run, sometimes constant apart from its nulls."""
+    g = np.random.default_rng(seed)
+    n = int(g.integers(1, 900))
+    v = np.full(n, g.normal()) if seed % 4 == 0 else g.normal(0, 10, n)
+    v[g.random(n) < g.random()] = np.nan
+    if seed % 3 == 1:
+        v[: int(g.integers(0, n + 1))] = np.nan
+    elif seed % 3 == 2:
+        v[int(g.integers(0, n + 1)):] = np.nan
+    return v
+
+
 def ref_segment_series(values: np.ndarray, tolerance: float) -> np.ndarray:
     """Frozen reference of ``segment_series``: the current spec
     (doubling, then binary search for the segment end, one plain

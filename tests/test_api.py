@@ -1,8 +1,10 @@
 """Tests for the API facade: the demo's interactive loop — upload,
 mine (cache-aware), click-to-highlight, and the Figure-3 payloads."""
 import dataclasses
+import itertools
 from pathlib import Path
 
+import pandas as pd
 import pytest
 
 from repro.core.types import MiscelaParams
@@ -14,15 +16,39 @@ PARAMS = MiscelaParams(epsilon=0.1, eta_meters=500.0, mu=3, psi=3,
                        segment_tolerance=0.0, max_sensors=5)
 
 
-@pytest.fixture(scope="module")
-def bundle(tmp_path_factory):
-    bundle = tmp_path_factory.mktemp("scene_bundle")
-    attributes = sorted({a for _, a, _, _, _, _ in SCENE_SENSORS})
+def write_scene(directory, readings=None, locations=None):
+    """The scene (or other readings and locations of its sensors) as a
+    §3.2 CSV bundle in ``directory``."""
     write_csv_bundle(
-        bundle, scene_readings_pdf(), scene_locations_pdf(), attributes,
+        directory,
+        scene_readings_pdf() if readings is None else readings,
+        scene_locations_pdf() if locations is None else locations,
+        sorted({a for _, a, _, _, _, _ in SCENE_SENSORS}),
         "2016-03-01 00:00:00", 60,
     )
-    return bundle
+    return directory
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    return write_scene(tmp_path_factory.mktemp("scene_bundle"))
+
+
+_GROUPS = itertools.count()
+
+
+def spark_jobs(spark, fn, *args) -> int:
+    """Spark jobs that ``fn(*args)`` runs, counted by a job group once
+    the listener bus has delivered their events to the status tracker."""
+    sc = spark.sparkContext
+    group = f"count-{next(_GROUPS)}"
+    sc.setJobGroup(group, group)
+    try:
+        fn(*args)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 def brute_force_clicks(caps, sensor):
@@ -47,8 +73,34 @@ class TestUploadEndpoint:
     def test_dataset_registered(self, api):
         assert api.datasets() == ["scene"]
 
-    def test_reupload_overwrites(self, api, spark, tmp_path_factory):
-        assert api.store.exists("scene")
+    def test_reupload_overwrites(self, spark, tmp_path, bundle):
+        api = MiscelaApi(spark, tmp_path / "root")
+        api.upload("scene", bundle, chunk_lines=50)
+        new = scene_readings_pdf().assign(value=lambda d: d["value"] * 2 + 5)
+        api.upload("scene", write_scene(tmp_path / "new", new), chunk_lines=50)
+        readings, _, _ = api.store.load(spark, "scene")
+        got = readings.toPandas().sort_values(["sensor_id", "t"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            got, new.sort_values(["sensor_id", "t"]).reset_index(drop=True), check_dtype=False)
+        chart = api.timeseries_payload("scene", ["a1"])["series"]["a1"]
+        assert [p["value"] for p in chart] == pytest.approx(
+            new.loc[new["sensor_id"] == "a1", "value"].tolist())
+
+    def test_integer_columns_read_back_as_double(self, spark, tmp_path):
+        # all-integer data, lat and lon columns parse as int64 in pandas
+        readings = scene_readings_pdf().assign(value=lambda d: (d["value"] * 12).round())
+        locations = scene_locations_pdf().assign(lat=range(6), lon=range(6))
+        api = MiscelaApi(spark, tmp_path / "root")
+        api.upload("ints", write_scene(tmp_path / "ints", readings.astype({"value": int}),
+                                       locations), chunk_lines=50)
+        r, l, _ = api.store.load(spark, "ints")
+        assert dict(r.dtypes)["value"] == dict(l.dtypes)["lat"] == dict(l.dtypes)["lon"] == "double"
+        got = r.toPandas().sort_values(["sensor_id", "t"]).reset_index(drop=True)
+        pd.testing.assert_series_equal(got["value"], readings["value"])
+        chart = api.timeseries_payload("ints", ["a1"])["series"]["a1"]
+        want = readings.loc[readings["sensor_id"] == "a1", "value"].tolist()
+        assert [p["value"] for p in chart] == want
+        assert all(isinstance(p["value"], float) for p in chart)
 
 
 class TestDatasetNames:
@@ -132,6 +184,17 @@ class TestReupload:
         assert api.cache.clicks
         api.upload("city", bundle, chunk_lines=50)
         assert api.cache.clicks == {} and api.cache._caps == ()
+
+
+class TestSparkJobs:
+    def test_only_a_cold_mine_runs_spark_jobs(self, spark, tmp_path, bundle):
+        api = MiscelaApi(spark, tmp_path / "root")
+        assert spark_jobs(spark, api.upload, "scene", bundle, 50) == 0
+        assert spark_jobs(spark, api.mine, "scene", PARAMS) > 0  # the cold mine
+        assert spark_jobs(spark, api.mine, "scene", PARAMS) == 0  # a cache hit
+        assert spark_jobs(spark, api.correlated_sensors, "scene", PARAMS, "a1") == 0
+        assert spark_jobs(spark, api.timeseries_payload, "scene", ["a1", "b1"], 3, 20) == 0
+        assert spark_jobs(spark, api.map_payload, "scene", PARAMS, "a1") == 0
 
 
 class TestSparkStorage:

@@ -1,10 +1,11 @@
 """Unit tests for pairwise co-evolution supports, pinned to DuckDB SQL
-via the oracle."""
+via the oracle: at ψ = 1 ``coevolving_edges`` lists the support of every
+neighbor pair that co-evolves at all."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.coevolution import coevolving_edges, pair_supports
+from repro.core.coevolution import coevolving_edges
 from repro.core.evolving import extract_evolving
 from repro.core.segmentation import smooth_readings
 from repro.core.spatial import neighbor_edges
@@ -26,7 +27,8 @@ def scene(spark):
 class TestPairSupports:
     def test_cluster_a_full_support(self, spark, scene):
         ev, edges, _ = scene
-        got = {(r["src"], r["dst"]): r["support"] for r in pair_supports(ev, edges).collect()}
+        got = {(r["src"], r["dst"]): r["support"]
+               for r in coevolving_edges(ev, edges, 1).collect()}
         # all of cluster A jumps at the same 4 ticks; B pair at 3 ticks
         assert got[("a1", "a2")] == 4
         assert got[("a1", "a3")] == 4
@@ -35,7 +37,8 @@ class TestPairSupports:
 
     def test_cross_cluster_pairs_have_no_common_ticks(self, spark, scene):
         ev, _, edges_far = scene
-        got = {(r["src"], r["dst"]): r["support"] for r in pair_supports(ev, edges_far).collect()}
+        got = {(r["src"], r["dst"]): r["support"]
+               for r in coevolving_edges(ev, edges_far, 1).collect()}
         # a* jumps {5,10,15,20}, b* jumps {7,14,21} — no overlap, so the
         # pair is absent from the support relation entirely
         assert ("a1", "b1") not in got
@@ -43,9 +46,9 @@ class TestPairSupports:
     def test_same_direction_excludes_inverted_sensor(self, spark, scene):
         ev, edges, _ = scene
         loose = {(r["src"], r["dst"]): r["support"]
-                 for r in pair_supports(ev, edges, same_direction=False).collect()}
+                 for r in coevolving_edges(ev, edges, 1, same_direction=False).collect()}
         strict = {(r["src"], r["dst"]): r["support"]
-                  for r in pair_supports(ev, edges, same_direction=True).collect()}
+                  for r in coevolving_edges(ev, edges, 1, same_direction=True).collect()}
         # a3 is the inverted series: loose counts its ticks, strict drops them
         assert loose[("a1", "a3")] == 4
         assert ("a1", "a3") not in strict
@@ -54,7 +57,7 @@ class TestPairSupports:
     def test_oracle_duckdb_join(self, spark, scene):
         ev, edges, _ = scene
         assert_equivalent(
-            pair_supports(ev, edges),
+            coevolving_edges(ev, edges, 1),
             """
             SELECT e.src AS src, e.dst AS dst, count(*) AS support
             FROM edges e
@@ -69,7 +72,7 @@ class TestPairSupports:
     def test_oracle_duckdb_same_direction(self, spark, scene):
         ev, edges, _ = scene
         assert_equivalent(
-            pair_supports(ev, edges, same_direction=True),
+            coevolving_edges(ev, edges, 1, same_direction=True),
             """
             SELECT e.src AS src, e.dst AS dst, count(*) AS support
             FROM edges e

@@ -105,7 +105,7 @@ class TestUploadEndToEnd:
     def test_upload_roundtrips_relations(self, spark, bundle_dir, tmp_path):
         out, d = bundle_dir
         store = DatasetStore(tmp_path / "store")
-        stats = upload_csv_bundle(spark, store, "covid", out, chunk_lines=5000)
+        stats = upload_csv_bundle(store, "covid", out, chunk_lines=5000)
         assert stats["n_records"] == d.n_records
         assert stats["n_chunks"] == -(-d.n_records // 5000)
         readings, locations, doc = store.load(spark, "covid")
@@ -114,15 +114,15 @@ class TestUploadEndToEnd:
         want = d.readings.toPandas().sort_values(["sensor_id", "t"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_upload_without_chunks_rejected(self, spark, tmp_path):
+    def test_upload_without_chunks_rejected(self, tmp_path):
         store = DatasetStore(tmp_path / "s")
-        up = ChunkedUploader(spark, store, "x")
+        up = ChunkedUploader(store, "x")
         with pytest.raises(ValueError, match="no chunks"):
             up.commit(pd.DataFrame(columns=["sensor_id", "attribute", "lat", "lon"]), [])
 
-    def test_unknown_attribute_rejected(self, spark, tmp_path):
+    def test_unknown_attribute_rejected(self, tmp_path):
         store = DatasetStore(tmp_path / "s2")
-        up = ChunkedUploader(spark, store, "x")
+        up = ChunkedUploader(store, "x")
         up.receive_chunk(
             pd.DataFrame(
                 {"id": ["0"], "attribute": ["mystery"],
@@ -137,18 +137,18 @@ class TestUploadEndToEnd:
             )
 
     @staticmethod
-    def _uploader(spark, tmp_path, rows):
+    def _uploader(tmp_path, rows):
         store = DatasetStore(tmp_path / "s3")
-        up = ChunkedUploader(spark, store, "x")
+        up = ChunkedUploader(store, "x")
         up.receive_chunk(pd.DataFrame(rows, columns=["id", "attribute", "time", "data"]))
         return store, up
 
     LOCATIONS = pd.DataFrame({"sensor_id": ["0", "1"], "attribute": ["temperature"] * 2,
                               "lat": [0.0, 0.0], "lon": [0.0, 0.001]})
 
-    def test_duplicate_id_time_rejected(self, spark, tmp_path):
+    def test_duplicate_id_time_rejected(self, tmp_path):
         # the second reading of sensor 0 at 01:00 sits in its own chunk
-        store, up = self._uploader(spark, tmp_path, [
+        store, up = self._uploader(tmp_path, [
             ["0", "temperature", "2020-01-01 00:00:00", 1.0],
             ["0", "temperature", "2020-01-01 01:00:00", 2.0],
             ["1", "temperature", "2020-01-01 01:00:00", 2.0],
@@ -160,13 +160,13 @@ class TestUploadEndToEnd:
             up.commit(self.LOCATIONS, ["temperature"])
         assert store.names() == []
 
-    def test_empty_data_csv_rejected(self, spark, tmp_path):
-        store, up = self._uploader(spark, tmp_path, [])
+    def test_empty_data_csv_rejected(self, tmp_path):
+        store, up = self._uploader(tmp_path, [])
         with pytest.raises(ValueError, match="data.csv has no rows"):
             up.commit(self.LOCATIONS, ["temperature"])
         assert store.names() == []
 
-    def test_missing_id_time_row_rejected(self, spark, bundle_dir, tmp_path):
+    def test_missing_id_time_row_rejected(self, bundle_dir, tmp_path):
         # one reading dropped from the middle of a sensor's series leaves a gap
         out, _ = bundle_dir
         gap = tmp_path / "gap"
@@ -177,14 +177,59 @@ class TestUploadEndToEnd:
         (gap / "data.csv").write_text("".join(lines[:10] + lines[11:]))
         store = DatasetStore(tmp_path / "store")
         with pytest.raises(ValueError, match=r"1 missing \(id, time\) rows"):
-            upload_csv_bundle(spark, store, "covid", gap)
+            upload_csv_bundle(store, "covid", gap)
         assert store.names() == []
 
-    def test_id_missing_from_location_csv_rejected(self, spark, tmp_path):
-        store, up = self._uploader(spark, tmp_path, [
+    def test_id_missing_from_location_csv_rejected(self, tmp_path):
+        store, up = self._uploader(tmp_path, [
             ["0", "temperature", "2020-01-01 00:00:00", 1.0],
             ["7", "temperature", "2020-01-01 00:00:00", 1.0],
         ])
         with pytest.raises(ValueError, match=r"ids not in location.csv: \['7'\]"):
             up.commit(self.LOCATIONS, ["temperature"])
         assert store.names() == []
+
+    ROWS = [["0", "temperature", "2020-01-01 00:00:00", 1.0],
+            ["1", "temperature", "2020-01-01 00:00:00", 2.0]]
+
+    def test_duplicate_location_id_rejected(self, tmp_path):
+        store, up = self._uploader(tmp_path, self.ROWS)
+        twice = pd.concat([self.LOCATIONS, self.LOCATIONS.iloc[[1]]], ignore_index=True)
+        with pytest.raises(ValueError, match=r"location.csv has duplicate ids: \['1'\]"):
+            up.commit(twice, ["temperature"])
+        assert store.names() == []
+
+    def test_location_attribute_missing_from_attribute_csv_rejected(self, tmp_path):
+        store, up = self._uploader(tmp_path, self.ROWS)
+        other = self.LOCATIONS.assign(attribute=["temperature", "light"])
+        with pytest.raises(ValueError,
+                           match=r"location.csv attributes not in attribute.csv: \['light'\]"):
+            up.commit(other, ["temperature"])
+        assert store.names() == []
+
+    @pytest.mark.parametrize("lat,lon", [
+        ("north", 0.0), (0.0, None), (float("inf"), 0.0), (0.0, float("-inf")),
+        (90.5, 0.0), (0.0, -180.5),
+    ])
+    def test_bad_lat_lon_rejected(self, tmp_path, lat, lon):
+        store, up = self._uploader(tmp_path, self.ROWS)
+        bad = self.LOCATIONS.astype({"lat": object, "lon": object})
+        bad.loc[1, ["lat", "lon"]] = [lat, lon]
+        with pytest.raises(ValueError, match=r"lat/lon .* for ids: \['1'\]"):
+            up.commit(bad, ["temperature"])
+        assert store.names() == []
+
+    def test_data_attribute_differs_from_location_rejected(self, tmp_path):
+        store, up = self._uploader(tmp_path, [
+            ["0", "temperature", "2020-01-01 00:00:00", 1.0],
+            ["1", "light", "2020-01-01 00:00:00", 2.0],
+        ])
+        with pytest.raises(ValueError, match=r"attribute differs from location.csv: "
+                                             r"\[\['1', 'light'\]\]"):
+            up.commit(self.LOCATIONS, ["temperature", "light"])
+        assert store.names() == []
+
+    def test_lat_lon_at_the_limits_accepted(self, tmp_path):
+        store, up = self._uploader(tmp_path, self.ROWS)
+        up.commit(self.LOCATIONS.assign(lat=[-90, 90], lon=[-180, 180]), ["temperature"])
+        assert store.names() == ["x"]

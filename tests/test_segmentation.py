@@ -10,7 +10,9 @@ from repro.core.segmentation import (
     smooth_readings,
 )
 from tests.helpers import (
+    fuzz_nulls,
     fuzz_series,
+    ref_normalize_series,
     ref_segment_series,
     scene_readings_pdf,
     scene_spark,
@@ -45,6 +47,17 @@ class TestNormalizeSeries:
     def test_negative_values(self):
         out = normalize_series(np.array([-10.0, 0.0, 10.0]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
+
+    def test_fuzz_equals_pandas_reference(self):
+        for seed in range(2_000):
+            v = fuzz_nulls(seed)
+            assert np.array_equal(normalize_series(v), ref_normalize_series(v),
+                                  equal_nan=True), seed
+
+    def test_input_left_unchanged(self):
+        v = np.array([np.nan, 2.0, np.nan, 4.0])
+        normalize_series(v)
+        assert np.array_equal(v, [np.nan, 2.0, np.nan, 4.0], equal_nan=True)
 
 
 class TestSegmentSeries:

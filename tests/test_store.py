@@ -3,6 +3,7 @@ dataset store, and the §3.3 CAP cache."""
 import dataclasses
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.types import CAP, MiscelaParams
@@ -68,28 +69,35 @@ class TestDocumentStore:
 
 
 class TestDatasetStore:
+    READINGS = pd.DataFrame({"sensor_id": ["a", "a"], "t": [0, 1], "value": [1.0, None]})
+    LOCATIONS = pd.DataFrame({"sensor_id": ["a"], "attribute": ["temp"], "lat": [1.0],
+                              "lon": [2.0]})
+
     def test_save_load_roundtrip(self, spark, tmp_path):
         store = DatasetStore(tmp_path)
-        readings = spark.createDataFrame(
-            pd.DataFrame({"sensor_id": ["a", "a"], "t": [0, 1], "value": [1.0, None]}),
-            "sensor_id string, t long, value double",
-        )
-        locations = spark.createDataFrame(
-            pd.DataFrame({"sensor_id": ["a"], "attribute": ["temp"], "lat": [1.0], "lon": [2.0]}),
-            "sensor_id string, attribute string, lat double, lon double",
-        )
-        store.save("d1", readings, locations, ["temp"], meta={"k": "v"})
+        store.save("d1", self.READINGS, self.LOCATIONS, ["temp"], meta={"k": "v"})
         r, l, doc = store.load(spark, "d1")
         assert r.count() == 2 and l.count() == 1
         assert doc["attributes"] == ["temp"] and doc["meta"] == {"k": "v"}
 
+    def test_failed_save_leaves_the_old_dataset_whole(self, spark, tmp_path):
+        store = DatasetStore(tmp_path)
+        store.save("d", self.READINGS, self.LOCATIONS, ["temp"], meta={"v": 1})
+        # the locations cannot be cast: the readings were already written
+        with pytest.raises(pa.ArrowException):
+            store.save("d", self.READINGS.assign(value=[7.0, 8.0]),
+                       self.LOCATIONS.assign(lat=["north"]), ["temp"], meta={"v": 2})
+        r, l, doc = store.load(spark, "d")
+        assert [x["value"] for x in r.orderBy("t").collect()] == [1.0, None]
+        assert l.count() == 1 and doc["meta"] == {"v": 1}
+        assert sorted(p.name for p in (tmp_path / "data" / "d").iterdir()) == [
+            "locations.parquet", "readings.parquet"]
+
     def test_exists_and_names(self, spark, tmp_path):
         store = DatasetStore(tmp_path)
         assert not store.exists("x")
-        readings = spark.range(1).selectExpr("'a' sensor_id", "id t", "1.0 value")
-        locations = spark.range(1).selectExpr("'a' sensor_id", "'t' attribute", "0.0 lat", "0.0 lon")
-        store.save("x", readings, locations, ["t"])
-        store.save("y", readings, locations, ["t"])
+        store.save("x", self.READINGS, self.LOCATIONS, ["temp"])
+        store.save("y", self.READINGS, self.LOCATIONS, ["temp"])
         assert store.exists("x") and store.names() == ["x", "y"]
 
     def test_load_missing_raises(self, spark, tmp_path):
